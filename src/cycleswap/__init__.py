@@ -2,96 +2,42 @@
 group: the factorization of a permutation into n k-cycles plus a group
 element, its inverse, the induced involution, and verification tools."""
 
-from .forward import (
-    FactoredPair,
-    KCycleFactorization,
-    block,
-    block_leaders,
-    factor,
-    k_cycle_factor,
-    leader_distance,
-    leader_permutation,
-    residue_vector,
-    standardize,
-)
-from .gsg import GsgElement, count_fixed_points, enumerate_gsg, fixed_points
+from .forward import block_leaders, factor, standardize
+from .gsg import GsgElement, count_fixed_points
 from .harness import (
     Distribution,
     VerificationReport,
     fixed_point_distribution,
     k_cycle_distribution,
     sample_empirical,
-    verify_bijection,
     verify_distribution_identity,
-    verify_involution,
 )
-from .inverse import (
-    count_k_cycle_factorizations,
-    enumerate_k_cycle_factorizations,
-    recover_shifts,
-    rotate_left,
-    unfactor,
-)
+from .inverse import recover_shifts, unfactor
 from .involution import InvolutionPair, involute
-from .permutations import (
-    CapacityError,
-    Permutation,
-    canonical_cycles,
-    count_k_cycles,
-    cycle_type,
-    enumerate_permutations,
-    permutations_in_range,
-    records,
-    stanley_hat,
-    stanley_unhat,
-    unrank_permutation,
-)
-from .textio import ParseError, format_gsg, format_permutation, parse_gsg, parse_permutation
+from .permutations import CapacityError, count_k_cycles, stanley_hat
+from .textio import ParseError, format_gsg, format_permutation, parse_permutation
 
 __all__ = [
     "CapacityError",
     "Distribution",
-    "FactoredPair",
     "GsgElement",
     "InvolutionPair",
-    "KCycleFactorization",
     "ParseError",
-    "Permutation",
     "VerificationReport",
-    "block",
     "block_leaders",
-    "involute",
-    "canonical_cycles",
     "count_fixed_points",
-    "count_k_cycle_factorizations",
     "count_k_cycles",
-    "cycle_type",
-    "enumerate_gsg",
-    "enumerate_k_cycle_factorizations",
-    "enumerate_permutations",
     "factor",
     "fixed_point_distribution",
-    "fixed_points",
     "format_gsg",
     "format_permutation",
+    "involute",
     "k_cycle_distribution",
-    "k_cycle_factor",
-    "leader_distance",
-    "leader_permutation",
-    "parse_gsg",
     "parse_permutation",
-    "permutations_in_range",
-    "records",
     "recover_shifts",
-    "residue_vector",
-    "rotate_left",
     "sample_empirical",
     "standardize",
     "stanley_hat",
-    "stanley_unhat",
     "unfactor",
-    "unrank_permutation",
-    "verify_bijection",
     "verify_distribution_identity",
-    "verify_involution",
 ]

@@ -8,6 +8,7 @@ failure, 2 usage or parse error, 3 capacity refusal.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .forward import KCycleFactorization, factor
@@ -23,7 +24,7 @@ from .harness import (
 from .inverse import unfactor
 from .involution import InvolutionPair, involute
 from .permutations import CapacityError, count_k_cycles
-from .textio import ParseError, format_gsg, format_permutation, parse_permutation
+from .textio import ParseError, format_gsg, format_permutation, parse_permutation, parse_residues
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -118,18 +119,20 @@ def _merge_input(args) -> None:
                 setattr(args, key, values[key])
 
 
-def _parse_x(text: str, k: int, n: int) -> tuple[int, ...]:
-    body = text.strip().strip("()")
-    x = tuple(int(tok) for tok in body.split(",")) if body else ()
-    if len(x) != n:
-        raise ParseError(f"expected {n} residues, got {len(x)}", 1)
-    return x
-
-
 def _parse_sigma(args) -> GsgElement:
     if args.x is None or args.tau is None:
         raise ParseError("need --x and --tau (or --input)", 1)
-    return GsgElement(args.k, _parse_x(args.x, args.k, args.n), parse_permutation(args.tau, args.n))
+    return GsgElement(args.k, parse_residues(args.x, args.n), parse_permutation(args.tau, args.n))
+
+
+def _check_sizes(args) -> None:
+    # Sizes may come from --input, so they are checked after merging.
+    for name, low in (("k", 1), ("n", 0), ("trials", 1), ("jobs", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name} must be at least {low}, got {value}")
+    if getattr(args, "jobs", None) is not None:
+        args.jobs = min(args.jobs, os.cpu_count() or 1)
 
 
 def _emit(lines: list[str]) -> None:
@@ -276,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             _merge_input(args)
         if args.k is None or args.n is None:
             raise ParseError("need --k and --n (or an --input file providing them)", 1)
+        _check_sizes(args)
         return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity refused: {exc}", file=sys.stderr)

@@ -84,18 +84,13 @@ def standardize(seq: Sequence[int]) -> tuple[int, ...]:
 
 def k_cycle_factor(p: Permutation, k: int) -> KCycleFactorization:
     """Re-parenthesize the hat word of ``p`` into n disjoint k-cycles."""
-    word = stanley_hat(p)
-    if len(word) % k != 0:
-        raise ValueError(f"size {len(word)} not divisible by k={k}")
-    n = len(word) // k
-    perm = Permutation.from_cycles([block(word, i, k) for i in range(1, n + 1)], len(word))
-    return KCycleFactorization(k, perm)
+    return factor(p, k).delta
 
 
 def leader_permutation(p: Permutation, k: int) -> Permutation:
     """The permutation of {1..n} whose hat word is the standardized
     sequence of block leaders of the hat word of ``p``."""
-    return stanley_unhat(standardize(block_leaders(stanley_hat(p), k)))
+    return factor(p, k).sigma.tau
 
 
 def leader_distance(word: Sequence[int], i: int, k: int) -> tuple[int, int]:
@@ -111,31 +106,27 @@ def leader_distance(word: Sequence[int], i: int, k: int) -> tuple[int, int]:
 def residue_vector(p: Permutation, k: int) -> tuple[int, ...]:
     """x in Z_k^n: x indexed by leader rank, where the entry for the i-th
     block leader is its distance to the end of its cycle, mod k."""
-    word = stanley_hat(p)
-    if len(word) % k != 0:
-        raise ValueError(f"size {len(word)} not divisible by k={k}")
-    n = len(word) // k
-    tau_hat = standardize(block_leaders(word, k))
-    x = [0] * n
-    for i in range(1, n + 1):
-        _, d = leader_distance(word, i, k)
-        x[tau_hat[i - 1] - 1] = d % k
-    return tuple(x)
+    return factor(p, k).sigma.x
 
 
 def factor(p: Permutation, k: int) -> FactoredPair:
-    """The full factorization p -> (delta, (x, tau))."""
+    """The full factorization p -> (delta, (x, tau)), in one right-to-left
+    pass over the blocks: the next record after a block's leader is the
+    first record past the block, carried leftward as g."""
     word = stanley_hat(p)
     if len(word) % k != 0:
         raise ValueError(f"size {len(word)} not divisible by k={k}")
-    n = len(word) // k
-    blocks = [block(word, i, k) for i in range(1, n + 1)]
-    delta = KCycleFactorization(k, Permutation.from_cycles(blocks, len(word)))
-    tau_hat = standardize(tuple(max(b) for b in blocks))
-    record_positions = records(word)
+    m, n = len(word), len(word) // k
+    blocks = [word[start : start + k] for start in range(0, m, k)]
+    leaders = [max(b) for b in blocks]
+    tau_hat = standardize(leaders)
+    pending = records(word)
     x = [0] * n
-    for i, b in enumerate(blocks, start=1):
-        pos = word.index(max(b)) + 1
-        g = next((r for r in record_positions if r > pos), len(word) + 1)
-        x[tau_hat[i - 1] - 1] = (g - pos) % k
+    g = m + 1
+    for i in range(n - 1, -1, -1):
+        start = k * i
+        x[tau_hat[i] - 1] = (g - (start + blocks[i].index(leaders[i]) + 1)) % k
+        while pending and pending[-1] > start:
+            g = pending.pop()
+    delta = KCycleFactorization(k, Permutation.from_cycles(blocks, m))
     return FactoredPair(delta, GsgElement(k, tuple(x), stanley_unhat(tau_hat)))

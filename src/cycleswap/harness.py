@@ -30,6 +30,7 @@ from .permutations import (
     enumerate_permutations,
     unrank_permutation,
     _advance,
+    _k_cycles_oneline,
 )
 
 #: Pair-product verification refuses above this many pairs unless overridden.
@@ -194,10 +195,11 @@ def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationRe
         checked += 1
     report.record("statistic_preserved", True)
     report.record("left_inverse", True)
+    sigmas = list(enumerate_gsg(k, n, limit=limit))
     n_delta = 0
     for delta in enumerate_k_cycle_factorizations(k, n, limit=limit):
         n_delta += 1
-        for sigma in enumerate_gsg(k, n, limit=limit):
+        for sigma in sigmas:
             back = factor(unfactor(delta, sigma), k)
             if back.delta != delta or back.sigma != sigma:
                 report.record(
@@ -274,22 +276,3 @@ def sample_empirical(
                 fp += 1
         fxpt_counts[fp] += 1
     return tuple(cyc_counts), tuple(fxpt_counts)
-
-
-def _k_cycles_oneline(images: list[int], k: int) -> int:
-    """k-cycle count of a 0-based one-line permutation, without building
-    a Permutation."""
-    seen = [False] * len(images)
-    hits = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length == k:
-            hits += 1
-    return hits

@@ -1,13 +1,14 @@
 """Reconstruction of a permutation of {1..kn} from its factorization
 (delta, (x, tau)).
 
-The blocks of the hat word of delta are permuted by the hat word of tau,
-then each block is cyclically rotated so that its leader lands at the
-distance mod k prescribed by x.  The rotation amounts are recovered right
-to left: the rightmost block's next-record position is pinned at the end
-of the word, and each earlier block's next-record position only depends
-on blocks already placed (it is invariant under rotating the block
-itself).
+The k-cycles of delta, in canonical order, are the blocks of its hat word;
+listed in the order of the hat word of tau, they are the blocks of the
+output's hat word up to rotation.  One right-to-left pass over those
+blocks picks each rotation so that the block's leader lies the distance
+mod k prescribed by x before the next record.  That record is the first
+letter past the block exceeding every leader up to the block, so it does
+not move when the block itself is rotated, and the pass carries its
+position g leftward from the rotated block.  Reconstruction costs O(kn).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from math import factorial
 from typing import Iterator, Sequence
 
-from .forward import KCycleFactorization, block, leader_distance
+from .forward import FactoredPair, KCycleFactorization
 from .gsg import GsgElement
 from .permutations import Permutation, check_capacity, stanley_hat, stanley_unhat
 
@@ -29,53 +30,41 @@ def rotate_left(piece: Sequence[int], s: int) -> tuple[int, ...]:
     return tuple(piece[s:]) + tuple(piece[:s])
 
 
-def _check_compatible(delta: KCycleFactorization, sigma: GsgElement) -> None:
-    if delta.k != sigma.k or delta.n != sigma.n:
-        raise ValueError(
-            f"incompatible inputs: delta is ({delta.k},{delta.n}), "
-            f"sigma is ({sigma.k},{sigma.n})"
-        )
-
-
-def _permuted_blocks(delta: KCycleFactorization, sigma: GsgElement) -> list[tuple[int, ...]]:
-    delta_hat = stanley_hat(delta.perm)
+def _place_blocks(
+    delta: KCycleFactorization, sigma: GsgElement
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    # The blocks of the output's hat word, rotated into place, and the
+    # rotation amounts.  Building the pair checks that (k, n) agree.
+    FactoredPair(delta, sigma)
+    k = delta.k
     tau_hat = stanley_hat(sigma.tau)
-    return [block(delta_hat, tau_hat[i], delta.k) for i in range(delta.n)]
+    cycles = delta.perm.cycles()
+    blocks = [cycles[t - 1] for t in tau_hat]
+    # before[i]: the largest leader left of block i; a canonical cycle
+    # starts with its leader.
+    before = list(itertools.accumulate((b[0] for b in blocks), max, initial=0))
+    shifts = [0] * delta.n
+    g = k * delta.n + 1
+    for i in range(delta.n - 1, -1, -1):
+        start = k * i
+        s = shifts[i] = (sigma.x[tau_hat[i] - 1] - (g - start - 1)) % k
+        placed = blocks[i] = rotate_left(blocks[i], s)
+        g = next((start + j for j, v in enumerate(placed, 1) if v > before[i]), g)
+    return blocks, shifts
 
 
 def recover_shifts(delta: KCycleFactorization, sigma: GsgElement) -> tuple[int, ...]:
     """Rotation amounts s_1..s_n placing each block of the permuted word
-    so its leader sits at the residue demanded by sigma.x.
-
-    Computed right to left on a working word whose unprocessed blocks are
-    still unrotated; s_i = x_{tau_hat(i)} - d_i mod k, with d_i the
-    distance from the i-th leader to the next record of the working word.
-    """
-    _check_compatible(delta, sigma)
-    k, n = delta.k, delta.n
-    tau_hat = stanley_hat(sigma.tau)
-    blocks = _permuted_blocks(delta, sigma)
-    shifts = [0] * n
-    for i in range(n, 0, -1):
-        word = tuple(itertools.chain.from_iterable(blocks))
-        _, d = leader_distance(word, i, k)
-        s = (sigma.x[tau_hat[i - 1] - 1] - d) % k
-        shifts[i - 1] = s
-        blocks[i - 1] = rotate_left(blocks[i - 1], s)
-    return tuple(shifts)
+    so its leader sits at the residue demanded by sigma.x:
+    s_i = x_{tau_hat(i)} - d_i mod k, with d_i the distance from the
+    unrotated i-th leader to the next record."""
+    return tuple(_place_blocks(delta, sigma)[1])
 
 
 def unfactor(delta: KCycleFactorization, sigma: GsgElement) -> Permutation:
     """Inverse of :func:`cycleswap.forward.factor`."""
-    _check_compatible(delta, sigma)
-    blocks = _permuted_blocks(delta, sigma)
-    shifts = recover_shifts(delta, sigma)
-    word = tuple(
-        itertools.chain.from_iterable(
-            rotate_left(b, s) for b, s in zip(blocks, shifts)
-        )
-    )
-    return stanley_unhat(word)
+    blocks, _ = _place_blocks(delta, sigma)
+    return stanley_unhat(tuple(itertools.chain.from_iterable(blocks)))
 
 
 def count_k_cycle_factorizations(k: int, n: int) -> int:

@@ -99,11 +99,6 @@ class Permutation:
         return out
 
 
-def canonical_cycles(p: Permutation) -> list[tuple[int, ...]]:
-    """Canonical cycle notation of ``p`` (max-first cycles, sorted)."""
-    return p.cycles()
-
-
 def stanley_hat(p: Permutation) -> tuple[int, ...]:
     """The word obtained by dropping the parentheses of the canonical
     cycle notation of ``p``."""
@@ -139,7 +134,26 @@ def count_k_cycles(p: Permutation, k: int) -> int:
     """Number of cycles of ``p`` with length exactly ``k``."""
     if k < 1:
         raise ValueError("k must be positive")
-    return sum(1 for c in p.cycles() if len(c) == k)
+    return _k_cycles_oneline([v - 1 for v in p.images], k)
+
+
+def _k_cycles_oneline(images: Sequence[int], k: int) -> int:
+    """k-cycle count of a 0-based one-line permutation, without building
+    a Permutation."""
+    seen = [False] * len(images)
+    hits = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        if length == k:
+            hits += 1
+    return hits
 
 
 def enumerate_permutations(m: int, limit: int | None = None) -> Iterator[Permutation]:

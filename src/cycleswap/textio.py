@@ -122,15 +122,25 @@ def parse_gsg(text: str, k: int, n: int) -> GsgElement:
     x_end = text.find(")", x_pos)
     if x_end < 0:
         raise ParseError("unclosed 'x=('", x_pos + 3)
-    body = text[x_pos + 3 : x_end].strip()
-    try:
-        x = tuple(int(tok.strip()) for tok in body.split(",")) if body else ()
-    except ValueError:
-        raise ParseError(f"bad residue list: {body!r}", x_pos + 4) from None
-    if len(x) != n:
-        raise ParseError(f"expected {n} residues, got {len(x)}", x_pos + 4)
+    x = parse_residues(text[x_pos + 2 : x_end + 1], n, x_pos + 2)
     tau_pos = text.find("tau=", x_end)
     if tau_pos < 0:
         raise ParseError("missing 'tau=...'", x_end + 1)
     tau = parse_permutation(text[tau_pos + 4 :], n)
     return GsgElement(k, x, tau)
+
+
+def parse_residues(text: str, n: int, offset: int = 0) -> tuple[int, ...]:
+    """Parse n comma-separated integers, e.g. ``0,1,0,2,1`` or
+    ``(0,1,0,2,1)``.  ``offset`` counts the characters of the input before
+    ``text``, so that error positions refer to the whole input."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1].strip()
+    try:
+        x = tuple(int(tok) for tok in body.split(",")) if body else ()
+    except ValueError:
+        raise ParseError(f"bad residue list: {body!r}", offset + 1) from None
+    if len(x) != n:
+        raise ParseError(f"expected {n} residues, got {len(x)}", offset + 1)
+    return x

@@ -1,5 +1,6 @@
 import pytest
 
+from cycleswap import cli
 from cycleswap.cli import main
 
 PI_TEXT = "(8 3 4 5)(9)(11 1 10)(15 7 2 6 12 14 13)"
@@ -153,3 +154,54 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("sample", "--k", "0", "--n", "3"), "--k must be at least 1, got 0"),
+        (("table", "--k", "2", "--n", "-1"), "--n must be at least 0, got -1"),
+        (("apply-f", "--k", "0", "--n", "3", "--pi", "1"), "--k must be at least 1, got 0"),
+        (("verify", "--k", "2", "--n", "2", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+        (("sample", "--k", "2", "--n", "3", "--trials", "0"), "--trials must be at least 1, got 0"),
+    ],
+)
+def test_bad_sizes_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bad_sizes_from_input_file(tmp_path, capsys):
+    doc = tmp_path / "input.txt"
+    doc.write_text("k=0\nn=3\npi=1\n")
+    code, _, err = run(capsys, "apply-f", "--input", str(doc))
+    assert code == 2
+    assert "--k must be at least 1" in err
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    # The stub records the jobs it is given and counts serially, so no
+    # worker process starts.
+    seen = []
+    real = cli.k_cycle_distribution
+
+    def record(k, n, limit=None, jobs=1):
+        seen.append(jobs)
+        return real(k, n, limit=limit, jobs=1)
+
+    monkeypatch.setattr(cli, "k_cycle_distribution", record)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, _, _ = run(capsys, "table", "--k", "2", "--n", "2", "--jobs", "64")
+    assert code == 0
+    assert seen == [2]
+
+
+def test_bad_residue_is_parse_error(capsys):
+    code, _, err = run(
+        capsys, "invert-f", "--k", "3", "--n", "5", "--delta", DELTA_TEXT,
+        "--x", "0,1,a,2,1", "--tau", "(2)(3)(5 1 4)",
+    )
+    assert code == 2
+    assert "bad residue list" in err and "position" in err

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from cycleswap import harness
 from cycleswap.harness import (
     Distribution,
     VerificationReport,
@@ -108,6 +109,19 @@ def test_verify_bijection_small():
     report = verify_bijection(3, 1)
     assert report.passed
     assert report.checked == 6 + 6  # 3! inputs plus |D_{3,1}| * |S(3,1)|
+
+
+def test_verify_bijection_enumerates_gsg_once(monkeypatch):
+    calls = []
+    real = harness.enumerate_gsg
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "enumerate_gsg", counted)
+    assert verify_bijection(2, 2).passed
+    assert len(calls) == 1
 
 
 def test_verify_involution_small():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cycleswap.permutations import (
     CapacityError,
     Permutation,
-    canonical_cycles,
     count_k_cycles,
     cycle_type,
     enumerate_permutations,
@@ -38,11 +37,11 @@ def test_rejects_non_permutation():
 
 
 def test_canonical_cycles_identity():
-    assert canonical_cycles(Permutation.identity(3)) == [(1,), (2,), (3,)]
+    assert Permutation.identity(3).cycles() == [(1,), (2,), (3,)]
 
 
 def test_canonical_cycles_running_example():
-    assert canonical_cycles(PI) == [
+    assert PI.cycles() == [
         (8, 3, 4, 5),
         (9,),
         (11, 1, 10),
@@ -51,7 +50,7 @@ def test_canonical_cycles_running_example():
 
 
 def test_canonical_cycles_max_first():
-    assert canonical_cycles(Permutation((2, 1))) == [(2, 1)]
+    assert Permutation((2, 1)).cycles() == [(2, 1)]
 
 
 def test_stanley_hat_running_example():
