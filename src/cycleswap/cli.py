@@ -93,17 +93,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input_file(path: str) -> dict[str, str]:
+def _read_input_file(path: str) -> dict[str, str | int]:
+    # k and n are read as integers here, where the line of a bad one is known.
     values = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", 1)
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParseError(f"expected key=value, got {line!r}", raw.index(line) + 1, lineno)
+            key, value = key.strip(), value.strip()
+            if key in ("k", "n"):
+                try:
+                    value = int(value)
+                except ValueError:
+                    position = raw.index(value, raw.index("=") + 1) + 1
+                    raise ParseError(
+                        f"{key} must be an integer, got {value!r}", position, lineno
+                    ) from None
+            values[key] = value
     return values
 
 
@@ -111,10 +121,7 @@ def _merge_input(args) -> None:
     # Flags win over file values.
     if getattr(args, "input", None):
         values = _read_input_file(args.input)
-        for key in ("k", "n"):
-            if key in values and getattr(args, key, None) is None:
-                setattr(args, key, int(values[key]))
-        for key in ("pi", "delta", "x", "tau"):
+        for key in ("k", "n", "pi", "delta", "x", "tau"):
             if key in values and getattr(args, key, None) is None:
                 setattr(args, key, values[key])
 

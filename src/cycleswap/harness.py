@@ -15,6 +15,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from math import factorial
+from operator import add, eq
+from typing import Callable, Iterator
 
 from .forward import factor
 from .gsg import count_fixed_points, enumerate_gsg
@@ -35,6 +37,9 @@ from .permutations import (
 
 #: Pair-product verification refuses above this many pairs unless overridden.
 DEFAULT_PAIR_CAPACITY = 100_000_000
+
+#: The sampler tabulates a group's statistic by rank only up to 8! elements.
+_TABLE_CAP = 40_320
 
 
 @dataclass(frozen=True)
@@ -111,18 +116,38 @@ class VerificationReport:
 def _cyc_counts_range(args: tuple[int, int, int, int]) -> list[int]:
     # Counts k-cycles over a lexicographic rank range of S_kn on raw
     # one-line tuples; skipping Permutation construction matters at 10!.
+    # Ranks [a(m-1)!, (a+1)(m-1)!) are the permutations starting with letter
+    # a: whole such blocks run at itertools speed, and only the ragged ends
+    # step with _advance.
     k, n, start, stop = args
     m = k * n
     counts = [0] * (n + 1)
+    if start >= stop:
+        return counts
     if start == 0 and stop == factorial(m):
         for images in itertools.permutations(range(m)):
             counts[_k_cycles_oneline(images, k)] += 1
-    elif start < stop:
+        return counts
+    block = factorial(m - 1)
+    first, last = -(-start // block), stop // block
+    if first >= last:
+        _step_range(counts, k, m, start, stop)
+        return counts
+    _step_range(counts, k, m, start, first * block)
+    for a in range(first, last):
+        rest = [v for v in range(m) if v != a]
+        for tail in itertools.permutations(rest):
+            counts[_k_cycles_oneline((a, *tail), k)] += 1
+    _step_range(counts, k, m, last * block, stop)
+    return counts
+
+
+def _step_range(counts: list[int], k: int, m: int, start: int, stop: int) -> None:
+    if start < stop:
         images = [v - 1 for v in unrank_permutation(m, start).images]
         for _ in range(stop - start):
             counts[_k_cycles_oneline(images, k)] += 1
             _advance(images)
-    return counts
 
 
 def k_cycle_distribution(
@@ -146,11 +171,38 @@ def k_cycle_distribution(
 
 def fixed_point_distribution(k: int, n: int, limit: int | None = None) -> Distribution:
     """counts[m] = number of elements of Z_k^n x| S_n with exactly m fixed
-    points, by exhaustive enumeration."""
+    points, by exhaustive enumeration.
+
+    No element objects are built: (x, tau), 0-based, is encoded as the word
+    w_i = tau(i) + n*x_i, and i is a fixed point exactly when w_i == i."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
     counts = [0] * (n + 1)
-    for s in enumerate_gsg(k, n, limit=limit):
-        counts[count_fixed_points(s)] += 1
+    for fp in _fixed_point_stats(k, n):
+        counts[fp] += 1
     return Distribution(k, n, tuple(counts))
+
+
+def _fixed_point_stats(k: int, n: int) -> Iterator[int]:
+    # The fixed-point count of every element of Z_k^n x| S_n, in memory O(n).
+    # Element (x, tau), 0-based, is the word w_i = tau(i) + n*x_i, built as
+    # tau + s with s_i = n*x_i.  Since 0 <= tau(i) < n, w_i == i holds iff
+    # x_i == 0 and tau(i) == i, i.e. iff i is a fixed point.
+    if n == 0:
+        yield 0
+        return
+    ident = range(n)
+    shifts = range(0, k * n, n)
+    # product() keeps a tuple of its pool, so the last shift streams from the
+    # range: at n = 1 the pool would otherwise hold all k shifts.
+    for head in itertools.product(shifts, repeat=n - 1):
+        for last in shifts:
+            s = head + (last,)
+            for tau in itertools.permutations(ident):
+                yield sum(map(eq, map(add, tau, s), ident))
 
 
 def verify_distribution_identity(
@@ -231,11 +283,12 @@ def verify_involution(
         pair_limit = DEFAULT_PAIR_CAPACITY
     check_capacity(n_pairs, pair_limit, f"S({k},{n}) x S_{k * n}")
     pis = list(enumerate_permutations(k * n, limit=limit))
+    factored = [factor(p, k) for p in pis]
     checked = 0
     for sigma in enumerate_gsg(k, n, limit=limit):
-        for p in pis:
+        for p, f in zip(pis, factored):
             pair = InvolutionPair(sigma, p)
-            out = involute(pair)
+            out = InvolutionPair(f.sigma, unfactor(f.delta, sigma))
             if (
                 count_fixed_points(out.sigma) != count_k_cycles(p, k)
                 or count_k_cycles(out.pi, k) != count_fixed_points(sigma)
@@ -257,22 +310,52 @@ def sample_empirical(
     k: int, n: int, trials: int, seed: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Empirical histograms (cycle side, fixed-point side) from ``trials``
-    independent uniform draws on each side.  Deterministic per seed."""
+    independent uniform draws on each side.  Deterministic per seed.
+
+    A side whose group has at most ``trials`` elements, and at most 8!,
+    draws a uniform rank and reads its statistic from a table built in this
+    call; a larger side shuffles one element per trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    m = k * n
-    letters = list(range(m))
-    tau_letters = list(range(n))
+    draw_cyc = _k_cycle_sampler(k, n, trials, rng)
+    draw_fxpt = _fixed_point_sampler(k, n, trials, rng)
     cyc_counts = [0] * (n + 1)
     fxpt_counts = [0] * (n + 1)
     for _ in range(trials):
-        rng.shuffle(letters)
-        cyc_counts[_k_cycles_oneline(letters, k)] += 1
-        rng.shuffle(tau_letters)
-        fp = 0
-        for i in range(n):
-            if rng.randrange(k) == 0 and tau_letters[i] == i:
-                fp += 1
-        fxpt_counts[fp] += 1
+        cyc_counts[draw_cyc()] += 1
+        fxpt_counts[draw_fxpt()] += 1
     return tuple(cyc_counts), tuple(fxpt_counts)
+
+
+def _table_sampler(table: list[int], rng: random.Random) -> Callable[[], int]:
+    randrange, size = rng.randrange, len(table)
+    return lambda: table[randrange(size)]
+
+
+def _k_cycle_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
+    # Draws the k-cycle count of a uniform element of S_kn.
+    m = k * n
+    if factorial(m) <= min(trials, _TABLE_CAP):
+        table = [_k_cycles_oneline(p, k) for p in itertools.permutations(range(m))]
+        return _table_sampler(table, rng)
+    letters = list(range(m))
+
+    def draw() -> int:
+        rng.shuffle(letters)
+        return _k_cycles_oneline(letters, k)
+
+    return draw
+
+
+def _fixed_point_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
+    # Draws the fixed-point count of a uniform element of Z_k^n x| S_n.
+    if k**n * factorial(n) <= min(trials, _TABLE_CAP):
+        return _table_sampler(list(_fixed_point_stats(k, n)), rng)
+    tau = list(range(n))
+
+    def draw() -> int:
+        rng.shuffle(tau)
+        return sum(1 for i in range(n) if rng.randrange(k) == 0 and tau[i] == i)
+
+    return draw

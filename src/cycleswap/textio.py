@@ -15,11 +15,14 @@ from .permutations import Permutation, stanley_hat
 
 
 class ParseError(ValueError):
-    """Malformed input text; carries the 1-based character position."""
+    """Malformed input text; carries the 1-based character position, and the
+    1-based line for text read from a file."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int, line: int | None = None):
+        where = f"position {position}" if line is None else f"line {line}, position {position}"
+        super().__init__(f"{message} (at {where})")
         self.position = position
+        self.line = line
 
 
 def parse_permutation(text: str, m: int) -> Permutation:

@@ -205,3 +205,25 @@ def test_bad_residue_is_parse_error(capsys):
     )
     assert code == 2
     assert "bad residue list" in err and "position" in err
+
+
+def test_input_file_error_names_its_line(tmp_path, capsys):
+    doc = tmp_path / "input.txt"
+    doc.write_text("# header\nk=3\n\nn=5\n  oops\n")
+    code, out, err = run(capsys, "apply-f", "--input", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected key=value, got 'oops' (at line 5, position 3)\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("k=three\nn=5\npi=1\n", "k must be an integer, got 'three' (at line 1, position 3)"),
+    ("k=3\nn = 5.0\npi=1\n", "n must be an integer, got '5.0' (at line 2, position 5)"),
+])
+def test_non_integer_size_in_input_file(tmp_path, capsys, text, message):
+    doc = tmp_path / "input.txt"
+    doc.write_text(text)
+    code, out, err = run(capsys, "apply-f", "--input", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -1,5 +1,6 @@
-"""The narrative demos that run in well under a second finish cleanly.
-``demos/03_distributions.py`` draws a million samples and stays out."""
+"""The narrative demos finish cleanly.  Demos 01 and 02 print checks as
+``True``/``False``; demo 03 prints a verification report with ``PASS`` and
+``FAIL`` lines."""
 
 import runpy
 from pathlib import Path
@@ -14,3 +15,9 @@ def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     out = capsys.readouterr().out
     assert "True" in out and "False" not in out
+
+
+def test_distributions_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "03_distributions.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
