@@ -143,6 +143,8 @@ def _cyc_counts_range(args: tuple[int, int, int, int]) -> list[int]:
 
 
 def _step_range(counts: list[int], k: int, m: int, start: int, stop: int) -> None:
+    """Add the k-cycle counts of ranks [start, stop) of S_m, one _advance
+    step at a time."""
     if start < stop:
         images = [v - 1 for v in unrank_permutation(m, start).images]
         for _ in range(stop - start):
