@@ -316,14 +316,13 @@ def sample_empirical(
 
     A side whose group has at most ``trials`` elements, and at most 8!,
     draws a uniform rank and reads its statistic from a table built in this
-    call; a larger side shuffles one element per trial."""
+    call; a larger side draws each trial's element cycle by cycle."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     draw_cyc = _k_cycle_sampler(k, n, trials, rng)
     draw_fxpt = _fixed_point_sampler(k, n, trials, rng)
-    cyc_counts = [0] * (n + 1)
-    fxpt_counts = [0] * (n + 1)
+    cyc_counts, fxpt_counts = [0] * (n + 1), [0] * (n + 1)
     for _ in range(trials):
         cyc_counts[draw_cyc()] += 1
         fxpt_counts[draw_fxpt()] += 1
@@ -335,29 +334,30 @@ def _table_sampler(table: list[int], rng: random.Random) -> Callable[[], int]:
     return lambda: table[randrange(size)]
 
 
+def _count_cycles(size: int, length: int, keep: int, randrange: Callable[[int], int]) -> int:
+    # Cycles of the given length of a uniform element of S_size, each counted
+    # with probability 1/keep, drawn cycle by cycle: its hat word is a uniform
+    # word whose last cycle starts at the largest letter, so that cycle's length
+    # is uniform on 1..size, and the letters before it are a uniform word.
+    hits = 0
+    while size:
+        cycle = randrange(size) + 1
+        if cycle == length:
+            hits += randrange(keep) == 0
+        size -= cycle
+    return hits
+
+
 def _k_cycle_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
     # Draws the k-cycle count of a uniform element of S_kn.
-    m = k * n
-    if factorial(m) <= min(trials, _TABLE_CAP):
-        table = [_k_cycles_oneline(p, k) for p in itertools.permutations(range(m))]
+    if factorial(k * n) <= min(trials, _TABLE_CAP):
+        table = [_k_cycles_oneline(p, k) for p in itertools.permutations(range(k * n))]
         return _table_sampler(table, rng)
-    letters = list(range(m))
-
-    def draw() -> int:
-        rng.shuffle(letters)
-        return _k_cycles_oneline(letters, k)
-
-    return draw
+    return lambda: _count_cycles(k * n, k, 1, rng.randrange)
 
 
 def _fixed_point_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
-    # Draws the fixed-point count of a uniform element of Z_k^n x| S_n.
+    # Fixed points of a uniform (x, tau) in Z_k^n x| S_n: the i with tau(i) = i, x_i = 0.
     if k**n * factorial(n) <= min(trials, _TABLE_CAP):
         return _table_sampler(list(_fixed_point_stats(k, n)), rng)
-    tau = list(range(n))
-
-    def draw() -> int:
-        rng.shuffle(tau)
-        return sum(1 for i in range(n) if rng.randrange(k) == 0 and tau[i] == i)
-
-    return draw
+    return lambda: _count_cycles(n, 1, k, rng.randrange)

@@ -39,7 +39,7 @@ def _parse_oneline(text: str, m: int, offset: int) -> Permutation:
         if m == 0:
             return Permutation(())
         raise ParseError("empty input", offset + 1)
-    images = []
+    images, positions = [], []
     pos = 0
     for piece in text.split(","):
         token = piece.strip()
@@ -50,15 +50,17 @@ def _parse_oneline(text: str, m: int, offset: int) -> Permutation:
             images.append(int(token))
         except ValueError:
             raise ParseError(f"not an integer: {token!r}", token_pos) from None
+        positions.append(token_pos)
         pos += len(piece) + 1
     if len(images) != m:
         raise ParseError(f"expected {m} entries, got {len(images)}", offset + len(text))
-    _check_letters(images, m, offset + 1)
+    _check_letters(images, positions, m, offset + 1)
     return Permutation(tuple(images))
 
 
 def _parse_cycles(text: str, m: int, offset: int) -> Permutation:
     cycles: list[list[int]] = []
+    positions: list[int] = []
     i = 0
     while i < len(text):
         if text[i].isspace():
@@ -79,22 +81,26 @@ def _parse_cycles(text: str, m: int, offset: int) -> Permutation:
                 cycle.append(int(token))
             except ValueError:
                 raise ParseError(f"not an integer: {token!r}", token_pos) from None
+            positions.append(token_pos)
         if not cycle:
             raise ParseError("empty cycle", offset + i + 1)
         cycles.append(cycle)
         i = close + 1
     flat = [v for c in cycles for v in c]
-    _check_letters(flat, m, offset + 1, require_all=False)
+    _check_letters(flat, positions, m, offset + 1, require_all=False)
     return Permutation.from_cycles(cycles, m)
 
 
-def _check_letters(letters: list[int], m: int, position: int, require_all: bool = True):
+def _check_letters(
+    letters: list[int], positions: list[int], m: int, position: int, require_all: bool = True
+):
+    # positions[j] is where letters[j] starts; position is where the text starts.
     seen = set()
-    for v in letters:
+    for v, at in zip(letters, positions):
         if not 1 <= v <= m:
-            raise ParseError(f"letter {v} outside 1..{m}", position)
+            raise ParseError(f"letter {v} outside 1..{m}", at)
         if v in seen:
-            raise ParseError(f"duplicate letter {v}", position)
+            raise ParseError(f"duplicate letter {v}", at)
         seen.add(v)
     if require_all and len(seen) != m:
         raise ParseError(f"expected all of 1..{m}", position)

@@ -1,7 +1,8 @@
 import itertools
 import random
 import tracemalloc
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -254,7 +255,7 @@ def _spy_tables(monkeypatch):
         (2, 3, [720, 48]),  # both groups within trials: both sides tabulated
         (2, 4, [384]),      # |S_8| = 40320 > trials >= |S(2,4)|
         (3, 3, [162]),      # |S_9| is above the table cap
-        (2, 7, []),         # |S(2,7)| = 645120: both sides shuffle
+        (2, 7, []),         # |S(2,7)| = 645120: both sides drawn cycle by cycle
     ],
 )
 def test_sampler_concordance(monkeypatch, k, n, tables):
@@ -273,8 +274,8 @@ def test_sampler_concordance(monkeypatch, k, n, tables):
 
 
 def test_sampler_table_cap_overrides_trials(monkeypatch):
-    # With the cap lowered to 100, |S_6| = 720 must shuffle however many
-    # trials are asked for, while |S(2,3)| = 48 is still tabulated.
+    # With the cap lowered to 100, |S_6| = 720 must be drawn cycle by cycle
+    # however many trials are asked for, while |S(2,3)| = 48 is still tabulated.
     monkeypatch.setattr(harness, "_TABLE_CAP", 100)
     sizes = _spy_tables(monkeypatch)
     rng = random.Random(0)
@@ -283,6 +284,69 @@ def test_sampler_table_cap_overrides_trials(monkeypatch):
     draw = harness._fixed_point_sampler(2, 3, 10**12, rng)
     assert sizes == [48]
     assert 0 <= draw() <= 3
+
+
+class _EveryChoice:
+    """Stands in for random.Random: replays ``path``, a list of [choice,
+    arity] pairs, and extends it with choice 0 past its end."""
+
+    def __init__(self):
+        self.path = []
+        self.depth = 0
+
+    def randrange(self, arity):
+        if self.depth == len(self.path):
+            self.path.append([0, arity])
+        choice, recorded = self.path[self.depth]
+        assert recorded == arity
+        self.depth += 1
+        return choice
+
+
+def _law(draw, rng, n):
+    # Runs draw once for every sequence of choices, depth-first, and sums
+    # each sequence's probability (the product of 1/arity) by value drawn.
+    law = [Fraction(0)] * (n + 1)
+    while True:
+        rng.depth = 0
+        value = draw()
+        assert rng.depth == len(rng.path)
+        law[value] += prod(Fraction(1, arity) for _, arity in rng.path)
+        while rng.path and rng.path[-1][0] + 1 == rng.path[-1][1]:
+            rng.path.pop()
+        if not rng.path:
+            return law
+        rng.path[-1][0] += 1
+
+
+@pytest.mark.parametrize(
+    "k,n", [(k, n) for k in range(1, 9) for n in range(8 // k + 1)]
+)
+def test_cycle_draws_have_the_exact_law(monkeypatch, k, n):
+    # With no table, both sides draw one element per trial; the law of each
+    # draw, summed over every choice sequence, is exactly the group's.
+    monkeypatch.setattr(harness, "_TABLE_CAP", 0)
+    rng = _EveryChoice()
+    cyc = _law(harness._k_cycle_sampler(k, n, 1, rng), rng, n)
+    assert cyc == [Fraction(c, factorial(k * n)) for c in _exact_cyc_counts(k, n)]
+    rng = _EveryChoice()
+    fxpt = _law(harness._fixed_point_sampler(k, n, 1, rng), rng, n)
+    assert fxpt == [Fraction(c, k**n * factorial(n)) for c in _exact_fxpt_counts(k, n)]
+
+
+def test_sampler_draws_large_groups_without_shuffling(monkeypatch):
+    # At (4, 50), the size the benchmark samples, neither side shuffles.
+    def refuse(self, x):
+        raise AssertionError("shuffle called")
+
+    monkeypatch.setattr(random.Random, "shuffle", refuse)
+    k, n, trials = 4, 50, 20_000
+    cyc, fxpt = sample_empirical(k, n, trials, seed=5)
+    assert sum(cyc) == sum(fxpt) == trials
+    cyc_exact, fxpt_exact = _exact_cyc_counts(k, n), _exact_fxpt_counts(k, n)
+    for m in range(n + 1):
+        assert abs(cyc[m] / trials - cyc_exact[m] / factorial(k * n)) < 0.02
+        assert abs(fxpt[m] / trials - fxpt_exact[m] / (k**n * factorial(n))) < 0.02
 
 
 def test_report_serialization():

@@ -91,6 +91,21 @@ def test_parse_errors_carry_position(text, m):
     assert err.value.position >= 1
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1,2,2", "duplicate letter 2 (at position 5)"),
+        ("1, 2, 9", "letter 9 outside 1..3 (at position 7)"),
+        ("(1 2)(3 3)", "duplicate letter 3 (at position 9)"),
+        ("(1 2)(3 9)", "letter 9 outside 1..3 (at position 9)"),
+    ],
+)
+def test_letter_errors_point_at_the_letter(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_permutation(text, 3)
+    assert str(err.value) == message
+
+
 def test_gsg_round_trip():
     s = GsgElement(3, (0, 1, 0, 2, 1), parse_permutation("(2)(3)(5 1 4)", 5))
     text = format_gsg(s)
