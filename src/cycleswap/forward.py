@@ -7,10 +7,14 @@ n blocks of length k; re-reading each block as a k-cycle gives delta; the
 relative order of the block maxima ("leaders") gives tau; and the distance
 from each leader to the end of its cycle, mod k, gives x.  The number of
 k-cycles of the input equals the number of fixed points of sigma.
+
+The work happens on hat words, as plain tuples; :func:`factor` builds the
+validated objects once, at the boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,21 +80,15 @@ def block_leaders(word: Sequence[int], k: int) -> tuple[int, ...]:
 def standardize(seq: Sequence[int]) -> tuple[int, ...]:
     """Relabel a sequence of distinct integers to {1..n}, preserving
     relative order."""
-    if len(set(seq)) != len(seq):
-        raise ValueError(f"entries not distinct: {seq}")
     order = {v: i for i, v in enumerate(sorted(seq), start=1)}
-    return tuple(order[v] for v in seq)
+    if len(order) != len(seq):
+        raise ValueError(f"entries not distinct: {seq}")
+    return tuple([order[v] for v in seq])
 
 
 def k_cycle_factor(p: Permutation, k: int) -> KCycleFactorization:
     """Re-parenthesize the hat word of ``p`` into n disjoint k-cycles."""
     return factor(p, k).delta
-
-
-def leader_permutation(p: Permutation, k: int) -> Permutation:
-    """The permutation of {1..n} whose hat word is the standardized
-    sequence of block leaders of the hat word of ``p``."""
-    return factor(p, k).sigma.tau
 
 
 def leader_distance(word: Sequence[int], i: int, k: int) -> tuple[int, int]:
@@ -103,30 +101,34 @@ def leader_distance(word: Sequence[int], i: int, k: int) -> tuple[int, int]:
     return g, g - pos
 
 
-def residue_vector(p: Permutation, k: int) -> tuple[int, ...]:
-    """x in Z_k^n: x indexed by leader rank, where the entry for the i-th
-    block leader is its distance to the end of its cycle, mod k."""
-    return factor(p, k).sigma.x
-
-
 def factor(p: Permutation, k: int) -> FactoredPair:
-    """The full factorization p -> (delta, (x, tau)), in one right-to-left
-    pass over the blocks: the next record after a block's leader is the
-    first record past the block, carried leftward as g."""
+    """The full factorization p -> (delta, (x, tau))."""
     word = stanley_hat(p)
     if len(word) % k != 0:
         raise ValueError(f"size {len(word)} not divisible by k={k}")
-    m, n = len(word), len(word) // k
+    delta_word, x, tau_hat = _factor_word(word, k)
+    delta = KCycleFactorization(k, stanley_unhat(delta_word))
+    return FactoredPair(delta, GsgElement(k, x, stanley_unhat(tau_hat)))
+
+
+def _factor_word(word: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    # p's hat word to delta's hat word, x and tau_hat, in one right-to-left
+    # pass over the blocks: the next record after a block's leader is the
+    # first record past the block, carried leftward as g.  Block i, read from
+    # its leader, is the tau_hat[i]-th cycle of delta's hat word.
+    m = len(word)
     blocks = [word[start : start + k] for start in range(0, m, k)]
     leaders = [max(b) for b in blocks]
     tau_hat = standardize(leaders)
     pending = records(word)
-    x = [0] * n
+    x = [0] * len(blocks)
+    cycles = [()] * len(blocks)
     g = m + 1
-    for i in range(n - 1, -1, -1):
-        start = k * i
-        x[tau_hat[i] - 1] = (g - (start + blocks[i].index(leaders[i]) + 1)) % k
+    for i in range(len(blocks) - 1, -1, -1):
+        start, b, t = k * i, blocks[i], tau_hat[i] - 1
+        j = b.index(leaders[i])
+        x[t] = (g - start - j - 1) % k
+        cycles[t] = b[j:] + b[:j]
         while pending and pending[-1] > start:
             g = pending.pop()
-    delta = KCycleFactorization(k, Permutation.from_cycles(blocks, m))
-    return FactoredPair(delta, GsgElement(k, tuple(x), stanley_unhat(tau_hat)))
+    return tuple(itertools.chain.from_iterable(cycles)), tuple(x), tau_hat

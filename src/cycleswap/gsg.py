@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .permutations import Permutation, check_capacity
+from .permutations import Permutation, check_capacity, check_sizes
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,7 @@ def enumerate_gsg(k: int, n: int, limit: int | None = None) -> Iterator[GsgEleme
     Outer loop: tau in lexicographic one-line order; inner loop: x counting
     up as a base-k number (last coordinate fastest).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_sizes(k, n)
     check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
     for images in itertools.permutations(range(1, n + 1)):
         tau = Permutation(images)

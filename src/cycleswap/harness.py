@@ -18,20 +18,15 @@ from math import factorial
 from operator import add, eq
 from typing import Callable, Iterator
 
-from .forward import factor
-from .gsg import count_fixed_points, enumerate_gsg
-from .inverse import (
-    count_k_cycle_factorizations,
-    enumerate_k_cycle_factorizations,
-    unfactor,
-)
-from .involution import InvolutionPair, involute
+from .forward import _factor_word
+from .inverse import _cycle_words, _unfactor_word, count_k_cycle_factorizations
 from .permutations import (
     check_capacity,
-    count_k_cycles,
-    enumerate_permutations,
+    check_sizes,
+    stanley_unhat,
     unrank_permutation,
     _advance,
+    _hat_cycles,
     _k_cycles_oneline,
 )
 
@@ -177,10 +172,7 @@ def fixed_point_distribution(k: int, n: int, limit: int | None = None) -> Distri
 
     No element objects are built: (x, tau), 0-based, is encoded as the word
     w_i = tau(i) + n*x_i, and i is a fixed point exactly when w_i == i."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_sizes(k, n)
     check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
     counts = [0] * (n + 1)
     for fp in _fixed_point_stats(k, n):
@@ -234,33 +226,47 @@ def verify_distribution_identity(
     return report
 
 
+def _gsg_words(k: int, n: int, limit: int | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Every (x, tau) in Z_k^n x| S_n, as x and the hat word of tau.
+    check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
+    xs = list(itertools.product(range(k), repeat=n))
+    return [(x, tau) for tau in itertools.permutations(range(1, n + 1)) for x in xs]
+
+
+def _fixed_points(x: tuple[int, ...], tau_hat: tuple[int, ...]) -> int:
+    # i is fixed by (x, tau) when x_i = 0 and i is a 1-cycle of tau.
+    return sum(x[i - 1] == 0 for i in _hat_cycles(tau_hat, 1))
+
+
 def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationReport:
     """Round-trip the factorization both ways over the whole domain and
-    codomain, and check the statistic equality on every element."""
+    codomain, and check the statistic equality on every element.  Each
+    permutation is enumerated by its hat word, which is exact because the
+    hat map is a bijection."""
     report = VerificationReport("bijection", k, n)
     t0 = time.perf_counter()
+    check_sizes(k, n)
+    check_capacity(factorial(k * n), limit, f"S_{k * n}")
+    sigmas = _gsg_words(k, n, limit)
+    check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
     checked = 0
-    for p in enumerate_permutations(k * n, limit=limit):
-        pair = factor(p, k)
-        if count_k_cycles(p, k) != count_fixed_points(pair.sigma):
-            report.record("statistic_preserved", False, f"pi={p.images}")
-        if unfactor(pair.delta, pair.sigma) != p:
-            report.record("left_inverse", False, f"pi={p.images}")
+    for word in itertools.permutations(range(1, k * n + 1)):
+        delta, x, tau_hat = _factor_word(word, k)
+        if len(_hat_cycles(word, k)) != _fixed_points(x, tau_hat):
+            report.record("statistic_preserved", False, f"pi={stanley_unhat(word).images}")
+        if _unfactor_word(delta, x, tau_hat, k)[0] != word:
+            report.record("left_inverse", False, f"pi={stanley_unhat(word).images}")
         checked += 1
     report.record("statistic_preserved", True)
     report.record("left_inverse", True)
-    sigmas = list(enumerate_gsg(k, n, limit=limit))
     n_delta = 0
-    for delta in enumerate_k_cycle_factorizations(k, n, limit=limit):
+    for delta in _cycle_words(frozenset(range(1, k * n + 1)), k):
         n_delta += 1
-        for sigma in sigmas:
-            back = factor(unfactor(delta, sigma), k)
-            if back.delta != delta or back.sigma != sigma:
-                report.record(
-                    "right_inverse", False,
-                    f"delta={delta.perm.images} sigma=({sigma.x},{sigma.tau.images})",
-                )
-            checked += 1
+        for x, tau_hat in sigmas:
+            if _factor_word(_unfactor_word(delta, x, tau_hat, k)[0], k) != (delta, x, tau_hat):
+                report.record("right_inverse", False, f"delta={stanley_unhat(delta).images} "
+                              f"sigma=({x},{stanley_unhat(tau_hat).images})")
+        checked += len(sigmas)
     report.record("right_inverse", True)
     report.record(
         "codomain_cardinality",
@@ -277,30 +283,33 @@ def verify_involution(
     k: int, n: int, pair_limit: int | None = None, limit: int | None = None
 ) -> VerificationReport:
     """Apply the involution twice to every pair in the full product and
-    check the statistic swap on the way."""
+    check the statistic swap on the way.  Pairs are enumerated by hat
+    words, and each pi is factored once."""
     report = VerificationReport("involution", k, n)
     t0 = time.perf_counter()
+    check_sizes(k, n)
     n_pairs = factorial(k * n) * k**n * factorial(n)
     if pair_limit is None:
         pair_limit = DEFAULT_PAIR_CAPACITY
     check_capacity(n_pairs, pair_limit, f"S({k},{n}) x S_{k * n}")
-    pis = list(enumerate_permutations(k * n, limit=limit))
-    factored = [factor(p, k) for p in pis]
+    check_capacity(factorial(k * n), limit, f"S_{k * n}")
+    words = list(itertools.permutations(range(1, k * n + 1)))
+    factored = [_factor_word(word, k) for word in words]
+    # pi's k-cycles against the fixed points of the sigma it factors into.
+    kept = [len(_hat_cycles(w, k)) == _fixed_points(x, t) for w, (_, x, t) in zip(words, factored)]
     checked = 0
-    for sigma in enumerate_gsg(k, n, limit=limit):
-        for p, f in zip(pis, factored):
-            pair = InvolutionPair(sigma, p)
-            out = InvolutionPair(f.sigma, unfactor(f.delta, sigma))
-            if (
-                count_fixed_points(out.sigma) != count_k_cycles(p, k)
-                or count_k_cycles(out.pi, k) != count_fixed_points(sigma)
-            ):
-                report.record("statistic_swap", False,
-                              f"sigma=({sigma.x},{sigma.tau.images}) pi={p.images}")
-            if involute(out) != pair:
-                report.record("involution", False,
-                              f"sigma=({sigma.x},{sigma.tau.images}) pi={p.images}")
-            checked += 1
+    for x, tau_hat in _gsg_words(k, n, limit):
+        fixed = _fixed_points(x, tau_hat)
+        for word, (delta, x_out, tau_out), ok in zip(words, factored, kept):
+            out = _unfactor_word(delta, x, tau_hat, k)[0]
+            swapped = ok and len(_hat_cycles(out, k)) == fixed
+            back, *sigma_back = _factor_word(out, k)
+            twice = sigma_back == [x, tau_hat] and _unfactor_word(back, x_out, tau_out, k)[0] == word
+            if not (swapped and twice):
+                text = f"sigma=({x},{stanley_unhat(tau_hat).images}) pi={stanley_unhat(word).images}"
+                report.record("statistic_swap", swapped, text)
+                report.record("involution", twice, text)
+        checked += len(words)
     report.record("statistic_swap", True)
     report.record("involution", True)
     report.checked = checked
@@ -317,6 +326,7 @@ def sample_empirical(
     A side whose group has at most ``trials`` elements, and at most 8!,
     draws a uniform rank and reads its statistic from a table built in this
     call; a larger side draws each trial's element cycle by cycle."""
+    check_sizes(k, n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

@@ -9,6 +9,9 @@ mod k prescribed by x before the next record.  That record is the first
 letter past the block exceeding every leader up to the block, so it does
 not move when the block itself is rotated, and the pass carries its
 position g leftward from the rotated block.  Reconstruction costs O(kn).
+
+The work happens on hat words, as plain tuples; :func:`unfactor` and
+:func:`recover_shifts` build the validated objects once, at the boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .forward import FactoredPair, KCycleFactorization
 from .gsg import GsgElement
-from .permutations import Permutation, check_capacity, stanley_hat, stanley_unhat
+from .permutations import Permutation, check_capacity, check_sizes, stanley_hat, stanley_unhat
 
 
 def rotate_left(piece: Sequence[int], s: int) -> tuple[int, ...]:
@@ -30,27 +33,23 @@ def rotate_left(piece: Sequence[int], s: int) -> tuple[int, ...]:
     return tuple(piece[s:]) + tuple(piece[:s])
 
 
-def _place_blocks(
-    delta: KCycleFactorization, sigma: GsgElement
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    # The blocks of the output's hat word, rotated into place, and the
-    # rotation amounts.  Building the pair checks that (k, n) agree.
-    FactoredPair(delta, sigma)
-    k = delta.k
-    tau_hat = stanley_hat(sigma.tau)
-    cycles = delta.perm.cycles()
-    blocks = [cycles[t - 1] for t in tau_hat]
-    # before[i]: the largest leader left of block i; a canonical cycle
-    # starts with its leader.
+def _unfactor_word(
+    delta_word: tuple[int, ...], x: Sequence[int], tau_hat: Sequence[int], k: int
+) -> tuple[tuple[int, ...], list[int]]:
+    # The output's hat word and the rotation amounts, from delta's hat word
+    # (its k-cycles, each from its leader, in increasing leader order), x
+    # and tau_hat.
+    blocks = [delta_word[k * t - k : k * t] for t in tau_hat]
+    # before[i]: the largest leader left of block i.
     before = list(itertools.accumulate((b[0] for b in blocks), max, initial=0))
-    shifts = [0] * delta.n
-    g = k * delta.n + 1
-    for i in range(delta.n - 1, -1, -1):
-        start = k * i
-        s = shifts[i] = (sigma.x[tau_hat[i] - 1] - (g - start - 1)) % k
-        placed = blocks[i] = rotate_left(blocks[i], s)
-        g = next((start + j for j, v in enumerate(placed, 1) if v > before[i]), g)
-    return blocks, shifts
+    shifts = [0] * len(blocks)
+    g = len(delta_word) + 1
+    for i in range(len(blocks) - 1, -1, -1):
+        start, b = k * i, blocks[i]
+        s = shifts[i] = (x[tau_hat[i] - 1] - (g - start - 1)) % k
+        b = blocks[i] = b[s:] + b[:s]
+        g = next((start + j for j, v in enumerate(b, 1) if v > before[i]), g)
+    return tuple(itertools.chain.from_iterable(blocks)), shifts
 
 
 def recover_shifts(delta: KCycleFactorization, sigma: GsgElement) -> tuple[int, ...]:
@@ -58,13 +57,16 @@ def recover_shifts(delta: KCycleFactorization, sigma: GsgElement) -> tuple[int, 
     so its leader sits at the residue demanded by sigma.x:
     s_i = x_{tau_hat(i)} - d_i mod k, with d_i the distance from the
     unrotated i-th leader to the next record."""
-    return tuple(_place_blocks(delta, sigma)[1])
+    FactoredPair(delta, sigma)  # checks that (k, n) agree
+    _, shifts = _unfactor_word(stanley_hat(delta.perm), sigma.x, stanley_hat(sigma.tau), delta.k)
+    return tuple(shifts)
 
 
 def unfactor(delta: KCycleFactorization, sigma: GsgElement) -> Permutation:
     """Inverse of :func:`cycleswap.forward.factor`."""
-    blocks, _ = _place_blocks(delta, sigma)
-    return stanley_unhat(tuple(itertools.chain.from_iterable(blocks)))
+    FactoredPair(delta, sigma)
+    word, _ = _unfactor_word(stanley_hat(delta.perm), sigma.x, stanley_hat(sigma.tau), delta.k)
+    return stanley_unhat(word)
 
 
 def count_k_cycle_factorizations(k: int, n: int) -> int:
@@ -81,23 +83,21 @@ def enumerate_k_cycle_factorizations(
     normalized to start with the largest letter not yet used, which kills
     both rotation and cycle-order duplicates.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_sizes(k, n)
     check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
-    m = k * n
-    for cycles in _cycle_sets(frozenset(range(1, m + 1)), k):
-        yield KCycleFactorization(k, Permutation.from_cycles(cycles, m))
+    for word in _cycle_words(frozenset(range(1, k * n + 1)), k):
+        yield KCycleFactorization(k, stanley_unhat(word))
 
 
-def _cycle_sets(remaining: frozenset[int], k: int) -> Iterator[list[tuple[int, ...]]]:
+def _cycle_words(remaining: frozenset[int], k: int) -> Iterator[tuple[int, ...]]:
+    # The hat words of the partitions of ``remaining`` into k-cycles.
     if not remaining:
-        yield []
+        yield ()
         return
     lead = max(remaining)
     rest = sorted(remaining - {lead})
     for tail in itertools.permutations(rest, k - 1):
         cycle = (lead,) + tail
-        for more in _cycle_sets(remaining - set(cycle), k):
-            yield [cycle] + more
+        # The other cycles have smaller leaders, so they come first.
+        for more in _cycle_words(remaining - set(cycle), k):
+            yield more + cycle

@@ -31,6 +31,13 @@ def check_capacity(count: int, limit: int | None, what: str) -> None:
         raise CapacityError(f"{what}: {count} items exceeds capacity {limit}")
 
 
+def check_sizes(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on {1..m} stored in one-line form.
@@ -120,9 +127,25 @@ def stanley_unhat(word: Sequence[int]) -> Permutation:
     """Inverse of :func:`stanley_hat`: cut ``word`` before each
     left-to-right maximum and read the pieces as cycles."""
     word = tuple(word)
+    m = len(word)
+    if sorted(word) != list(range(1, m + 1)):
+        raise ValueError(f"not a word on 1..{m}: {word}")
+    images = [0] * m
+    # Each letter maps to the next one, or, when that is a new record, back
+    # to the record that opened its cycle; m + 1 closes the last cycle.
+    first = top = word[0] if word else 0
+    for a, b in zip(word, word[1:] + (m + 1,)):
+        if b > top:
+            images[a - 1], first, top = first, b, b
+        else:
+            images[a - 1] = b
+    return Permutation(tuple(images))
+
+
+def _hat_cycles(word: Sequence[int], length: int) -> list[int]:
+    # The first letters of the cycles of that length; cycles start at records.
     cuts = records(word) + [len(word) + 1]
-    cycles = [word[a - 1 : b - 1] for a, b in zip(cuts, cuts[1:])]
-    return Permutation.from_cycles(cycles, len(word))
+    return [word[a - 1] for a, b in zip(cuts, cuts[1:]) if b - a == length]
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
@@ -177,22 +200,6 @@ def unrank_permutation(m: int, rank: int) -> Permutation:
         q, rank = divmod(rank, factorial(i - 1))
         images.append(letters.pop(q))
     return Permutation(tuple(images))
-
-
-def permutations_in_range(m: int, start: int, stop: int) -> Iterator[Permutation]:
-    """Permutations of {1..m} with lexicographic ranks in [start, stop).
-
-    Workers enumerating disjoint rank ranges partition S_m exactly.
-    """
-    total = factorial(m)
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad rank range [{start}, {stop}) for S_{m}")
-    if start == stop:
-        return
-    images = list(unrank_permutation(m, start).images)
-    for _ in range(stop - start):
-        yield Permutation(tuple(images))
-        _advance(images)
 
 
 def _advance(images: list[int]) -> None:

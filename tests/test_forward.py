@@ -7,8 +7,6 @@ from cycleswap.forward import (
     block_leaders,
     factor,
     k_cycle_factor,
-    leader_permutation,
-    residue_vector,
     standardize,
 )
 from cycleswap.gsg import GsgElement, count_fixed_points
@@ -87,10 +85,10 @@ def test_kcyclefactorization_rejects_wrong_type():
 
 
 def test_leader_permutation():
-    assert leader_permutation(PI, 3) == TAU
-    assert leader_permutation(Permutation.identity(4), 2) == Permutation.identity(2)
+    assert factor(PI, 3).sigma.tau == TAU
+    assert factor(Permutation.identity(4), 2).sigma.tau == Permutation.identity(2)
     for p in enumerate_permutations(5):
-        assert leader_permutation(p, 1) == p
+        assert factor(p, 1).sigma.tau == p
 
 
 def _distance_oracle(p, k):
@@ -111,7 +109,7 @@ def _distance_oracle(p, k):
 
 
 def test_residue_vector_running_example():
-    assert residue_vector(PI, 3) == (0, 1, 0, 2, 1)
+    assert factor(PI, 3).sigma.x == (0, 1, 0, 2, 1)
 
 
 def test_residue_vector_identity():
@@ -121,19 +119,19 @@ def test_residue_vector_identity():
     # points while the identity has no k-cycles for k > 1.
     for k, n in [(1, 4), (2, 3), (3, 2), (4, 1)]:
         p = Permutation.identity(k * n)
-        assert residue_vector(p, k) == (1 % k,) * n
-        assert residue_vector(p, k) == _distance_oracle(p, k)
+        assert factor(p, k).sigma.x == (1 % k,) * n
+        assert factor(p, k).sigma.x == _distance_oracle(p, k)
 
 
 def test_residue_vector_k1_zero():
     for p in enumerate_permutations(5):
-        assert residue_vector(p, 1) == (0,) * 5
+        assert factor(p, 1).sigma.x == (0,) * 5
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (4, 1)])
 def test_residue_vector_matches_oracle(k, n):
     for p in enumerate_permutations(k * n):
-        assert residue_vector(p, k) == _distance_oracle(p, k)
+        assert factor(p, k).sigma.x == _distance_oracle(p, k)
 
 
 def test_factor_running_example():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -179,6 +180,12 @@ def test_capacity_refusal():
         k_cycle_distribution(2, 4, limit=1000)
     with pytest.raises(CapacityError):
         verify_involution(2, 3, pair_limit=1000)
+    # The exhaustive checks enumerate hat words themselves, so they must
+    # apply the caller's limit to S_kn: 8! = 40320 items here.
+    with pytest.raises(CapacityError):
+        verify_bijection(2, 4, limit=1000)
+    with pytest.raises(CapacityError):
+        verify_involution(2, 4, limit=1000)
 
 
 def test_verify_bijection_small():
@@ -187,15 +194,20 @@ def test_verify_bijection_small():
     assert report.checked == 6 + 6  # 3! inputs plus |D_{3,1}| * |S(3,1)|
 
 
-def test_verify_bijection_enumerates_gsg_once(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = harness.enumerate_gsg
+    real = getattr(harness, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "enumerate_gsg", counted)
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_verify_bijection_enumerates_gsg_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_gsg_words")
     assert verify_bijection(2, 2).passed
     assert len(calls) == 1
 
@@ -207,16 +219,42 @@ def test_verify_involution_small():
 
 
 def test_verify_involution_factors_each_pi_once(monkeypatch):
-    calls = []
-    real = harness.factor
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "factor", counted)
+    # Each of the 4! words is factored once, and each of the 24 * 8 outputs
+    # once more for the second application; re-factoring pi for every sigma
+    # would read 2 * 192 = 384.
+    calls = _count_calls(monkeypatch, "_factor_word")
     assert verify_involution(2, 2).passed
-    assert len(calls) == factorial(4)
+    assert len(calls) == factorial(4) + 24 * 8
+
+
+def _break_inverse_kernel(monkeypatch, target):
+    # The inverse kernel swaps the first two letters of its output for the
+    # one input ``target`` and is right everywhere else.
+    real = harness._unfactor_word
+
+    def broken(*args):
+        word, shifts = real(*args)
+        if args == target:
+            word = (word[1], word[0]) + word[2:]
+        return word, shifts
+
+    monkeypatch.setattr(harness, "_unfactor_word", broken)
+
+
+def test_broken_inverse_kernel_is_caught_by_verify_bijection(monkeypatch):
+    _break_inverse_kernel(monkeypatch, (*harness._factor_word((1, 2, 3, 4), 2), 2))
+    report = verify_bijection(2, 2)
+    assert not report.passed
+    assert not (report.properties["left_inverse"] and report.properties["right_inverse"])
+    assert re.fullmatch(r"pi=\(\d+(, \d+)*\)", report.counterexample)
+
+
+def test_broken_inverse_kernel_is_caught_by_verify_involution(monkeypatch):
+    _break_inverse_kernel(monkeypatch, ((1, 2, 3), (0, 0, 0), (1, 2, 3), 1))
+    report = verify_involution(1, 3)
+    assert not report.properties["involution"]
+    assert re.fullmatch(r"sigma=\(\(\d, \d, \d\),\(\d, \d, \d\)\) pi=\(\d, \d, \d\)",
+                        report.counterexample)
 
 
 def test_sample_deterministic():
@@ -229,6 +267,13 @@ def test_sample_deterministic():
 def test_sample_single_trial():
     cyc, fxpt = sample_empirical(2, 3, 1, seed=1)
     assert sum(cyc) == 1 and sum(fxpt) == 1
+
+
+def test_sample_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="k must be positive"):
+        sample_empirical(0, 3, 10, 1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        sample_empirical(2, -1, 10, 1)
 
 
 def test_sample_concentrates():

@@ -10,11 +10,11 @@ from cycleswap.permutations import (
     count_k_cycles,
     cycle_type,
     enumerate_permutations,
-    permutations_in_range,
     records,
     stanley_hat,
     stanley_unhat,
     unrank_permutation,
+    _advance,
 )
 
 # The 15-letter running example used throughout: cycles
@@ -175,12 +175,16 @@ def test_unrank_matches_enumeration():
 
 
 def test_range_partition_covers_everything():
+    # Disjoint rank ranges, each walked with _advance from its unranked
+    # start as the census workers do, list S_5 once and in order.
     bounds = [0, 17, 17, 60, factorial(5)]
-    pieces = [
-        list(permutations_in_range(5, a, b)) for a, b in zip(bounds, bounds[1:])
-    ]
-    flat = [p for piece in pieces for p in piece]
-    assert flat == list(enumerate_permutations(5))
+    flat = []
+    for a, b in zip(bounds, bounds[1:]):
+        images = list(unrank_permutation(5, a).images) if a < b else []
+        for _ in range(b - a):
+            flat.append(tuple(images))
+            _advance(images)
+    assert flat == [p.images for p in enumerate_permutations(5)]
 
 
 def test_empty_permutation():
