@@ -103,6 +103,8 @@ def leader_distance(word: Sequence[int], i: int, k: int) -> tuple[int, int]:
 
 def factor(p: Permutation, k: int) -> FactoredPair:
     """The full factorization p -> (delta, (x, tau))."""
+    if k < 1:
+        raise ValueError("k must be positive")
     word = stanley_hat(p)
     if len(word) % k != 0:
         raise ValueError(f"size {len(word)} not divisible by k={k}")

@@ -6,6 +6,15 @@ of {1..m} exactly once; the hat map sends a permutation to the word obtained
 by writing it in canonical cycle notation (largest letter first in each
 cycle, cycles ordered by increasing first letter) and dropping the
 parentheses.  The inverse cuts the word before each left-to-right maximum.
+
+A :class:`Permutation` is its one-line images and nothing else: equality,
+hashing, ``repr`` and pickling see only ``images``.  The cycle-notation
+parser already holds the hat word of what it parses, so it builds its
+result with :func:`_with_hat`, which keeps that word beside the images
+for :func:`stanley_hat` to return.  Every other permutation, the outputs
+of :func:`stanley_unhat` included, carries no word: :func:`stanley_hat`
+walks its cycles on each call and keeps nothing, because a caller may hold
+many outputs at once and a stored word would double the memory each takes.
 """
 
 from __future__ import annotations
@@ -47,12 +56,19 @@ class Permutation:
     """
 
     images: tuple[int, ...]
+    # The hat word, when whoever built this permutation already had it
+    # (see _with_hat); a class attribute, not a field.
+    _hat = None
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
         m = len(self.images)
         if sorted(self.images) != list(range(1, m + 1)):
             raise ValueError(f"not a permutation of 1..{m}: {self.images}")
+
+    def __getstate__(self):
+        # Only the field: a pickled permutation carries no hat word.
+        return {"images": self.images}
 
     @property
     def size(self) -> int:
@@ -88,28 +104,43 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles in canonical form: each cycle starts with its
         largest letter, cycles sorted by increasing first letter."""
-        out = []
-        seen = [False] * len(self.images)
-        for start in range(1, len(self.images) + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            j = self.images[start - 1]
-            while j != start:
-                cycle.append(j)
-                seen[j - 1] = True
-                j = self.images[j - 1]
-            top = cycle.index(max(cycle))
-            out.append(tuple(cycle[top:] + cycle[:top]))
-        out.sort(key=lambda c: c[0])
-        return out
+        return _canonical_cycles(self.images)
+
+
+def _canonical_cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # Walking from each letter not yet seen, largest first, enters every
+    # cycle at its largest letter, and meets the cycles in decreasing
+    # order of that letter.
+    seen = [False] * (len(images) + 1)
+    out = []
+    for start in range(len(images), 0, -1):
+        if seen[start]:
+            continue
+        cycle = [start]
+        j = images[start - 1]
+        while j != start:
+            seen[j] = True
+            cycle.append(j)
+            j = images[j - 1]
+        out.append(tuple(cycle))
+    out.reverse()
+    return out
+
+
+def _with_hat(images: tuple[int, ...], word: tuple[int, ...]) -> Permutation:
+    """``Permutation(images)`` that keeps ``word``, which must be its hat
+    word, for :func:`stanley_hat`."""
+    p = Permutation(images)
+    object.__setattr__(p, "_hat", word)
+    return p
 
 
 def stanley_hat(p: Permutation) -> tuple[int, ...]:
     """The word obtained by dropping the parentheses of the canonical
     cycle notation of ``p``."""
-    return tuple(letter for cycle in p.cycles() for letter in cycle)
+    if p._hat is not None:
+        return p._hat
+    return tuple(itertools.chain.from_iterable(_canonical_cycles(p.images)))
 
 
 def records(word: Sequence[int]) -> list[int]:

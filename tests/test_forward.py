@@ -79,6 +79,12 @@ def test_k_cycle_factor_rejects_bad_size():
         k_cycle_factor(Permutation.identity(5), 2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_factor_rejects_nonpositive_k(k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        factor(Permutation.identity(4), k)
+
+
 def test_kcyclefactorization_rejects_wrong_type():
     with pytest.raises(ValueError):
         KCycleFactorization(2, Permutation.identity(4))

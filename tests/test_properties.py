@@ -1,7 +1,8 @@
 """Round trips and the statistic swap on random (k, n) with kn up to 200,
 far beyond exhaustive reach.  The linear-time kernels are checked against
 a reference that recomputes every next record from the whole word with
-:func:`leader_distance`, at O(n * kn) per call."""
+:func:`leader_distance`, at O(n * kn) per call.  Cycle text written in any
+rotation, order and spacing parses back to the permutation it came from."""
 
 import itertools
 
@@ -19,6 +20,7 @@ from cycleswap.gsg import GsgElement, count_fixed_points
 from cycleswap.inverse import recover_shifts, rotate_left, unfactor
 from cycleswap.involution import InvolutionPair, involute
 from cycleswap.permutations import Permutation, count_k_cycles, stanley_hat
+from cycleswap.textio import parse_permutation
 
 MAX_KN = 200
 examples = settings(deadline=None)
@@ -59,6 +61,40 @@ def pair_cases(draw):
 def involution_pairs(draw):
     k, n = draw(sizes())
     return InvolutionPair(draw(gsg_elements(k, n)), draw(_perm(k * n)))
+
+
+@st.composite
+def cycle_texts(draw):
+    # Any cycle notation of p: cycles rotated and reordered, some 1-cycles
+    # left out, whitespace anywhere a separator may go.
+    p = draw(_perm(draw(st.integers(1, MAX_KN))))
+    cycles, seen = [], set()
+    for start in p.images:
+        if start not in seen:
+            cycle = [start]
+            while p(cycle[-1]) != start:
+                cycle.append(p(cycle[-1]))
+            seen.update(cycle)
+            turn = draw(st.integers(0, len(cycle) - 1))
+            cycles.append(cycle[turn:] + cycle[:turn])
+    cycles = draw(st.permutations(cycles))
+    kept = [c for c in cycles if len(c) > 1 or draw(st.booleans())] or cycles[:1]
+    space = st.sampled_from(["", " ", "  ", "\t", "\n "])
+    gap = st.sampled_from([" ", "  ", "\t", " \n"])
+    text = draw(space)
+    for c in kept:
+        inner = "".join(str(v) + draw(gap) for v in c[:-1]) + str(c[-1])
+        text += "(" + draw(space) + inner + draw(space) + ")" + draw(space)
+    return p, text
+
+
+@examples
+@given(cycle_texts())
+def test_cycle_text_parses_back(case):
+    p, text = case
+    parsed = parse_permutation(text, p.size)
+    assert parsed == p and hash(parsed) == hash(p)
+    assert stanley_hat(parsed) == stanley_hat(Permutation(p.images))
 
 
 def _reference_residues(p, k):

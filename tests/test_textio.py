@@ -1,15 +1,22 @@
+import pickle
 import random
 
 import pytest
 
 from cycleswap.gsg import GsgElement
-from cycleswap.permutations import Permutation, enumerate_permutations, stanley_unhat
+from cycleswap.permutations import (
+    Permutation,
+    enumerate_permutations,
+    stanley_hat,
+    stanley_unhat,
+)
 from cycleswap.textio import (
     ParseError,
     format_gsg,
     format_permutation,
     parse_gsg,
     parse_permutation,
+    parse_residues,
 )
 
 
@@ -104,6 +111,109 @@ def test_letter_errors_point_at_the_letter(text, message):
     with pytest.raises(ParseError) as err:
         parse_permutation(text, 3)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,m,message",
+    [
+        # cycle notation: structure, then integers, then letters
+        ("(1 2", 3, "unclosed '(' (at position 1)"),
+        ("(1 2) (", 3, "unclosed '(' (at position 7)"),
+        ("(9)(x", 3, "unclosed '(' (at position 4)"),
+        ("(1 2))", 3, "expected '(', found ')' (at position 6)"),
+        ("(1 2) x", 3, "expected '(', found 'x' (at position 7)"),
+        ("(1 2)x", 3, "expected '(', found 'x' (at position 6)"),
+        ("()", 3, "empty cycle (at position 1)"),
+        ("(1)(  )", 3, "empty cycle (at position 4)"),
+        ("(1 (2 3))", 3, "not an integer: '(2' (at position 4)"),
+        ("((1 2)", 3, "not an integer: '(1' (at position 2)"),
+        ("(1 a)", 3, "not an integer: 'a' (at position 4)"),
+        ("(1 2.0)", 3, "not an integer: '2.0' (at position 4)"),
+        ("(9)(x)", 3, "not an integer: 'x' (at position 5)"),
+        ("(0 1)", 3, "letter 0 outside 1..3 (at position 2)"),
+        ("(-1 2)", 3, "letter -1 outside 1..3 (at position 2)"),
+        ("(1)", 0, "letter 1 outside 1..0 (at position 2)"),
+        ("(1 2)(2 3)", 3, "duplicate letter 2 (at position 7)"),
+        ("(1 1 9)", 3, "duplicate letter 1 (at position 4)"),
+        ("(9 1 1)", 3, "letter 9 outside 1..3 (at position 2)"),
+        ("  (1 9)", 3, "letter 9 outside 1..3 (at position 6)"),
+        ("\t (1 2) (3 x)", 3, "not an integer: 'x' (at position 12)"),
+        ("( 2\n 3 )( 3 )", 3, "duplicate letter 3 (at position 11)"),
+        # one-line notation: entries, then their count, then letters
+        ("", 3, "empty input (at position 1)"),
+        ("   ", 3, "empty input (at position 1)"),
+        ("1,,3", 3, "empty entry (at position 3)"),
+        ("1,2,", 3, "empty entry (at position 5)"),
+        (",1,2", 3, "empty entry (at position 1)"),
+        ("1, x ,3", 3, "not an integer: 'x' (at position 4)"),
+        ("9,x,1", 3, "not an integer: 'x' (at position 3)"),
+        ("1 2 3", 3, "not an integer: '1 2 3' (at position 1)"),
+        (")(1 2)", 3, "not an integer: ')(1 2)' (at position 1)"),
+        ("   )", 3, "not an integer: ')' (at position 4)"),
+        ("1,2", 3, "expected 3 entries, got 2 (at position 3)"),
+        ("9,1", 3, "expected 3 entries, got 2 (at position 3)"),
+        ("1,2,3,4", 3, "expected 3 entries, got 4 (at position 7)"),
+        ("1", 0, "expected 0 entries, got 1 (at position 1)"),
+        ("0,1,2", 3, "letter 0 outside 1..3 (at position 1)"),
+        ("  1,2,9", 3, "letter 9 outside 1..3 (at position 7)"),
+        (" 3, 3,9", 3, "duplicate letter 3 (at position 5)"),
+    ],
+)
+def test_parse_error_table(text, m, message):
+    with pytest.raises(ParseError) as err:
+        parse_permutation(text, m)
+    assert str(err.value) == message
+    assert message.endswith(f"(at position {err.value.position})")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("tau=(1)", "missing 'x=(...)' (at position 1)"),
+        ("x=(0,1,2", "unclosed 'x=(' (at position 3)"),
+        ("x=(0,1,2)", "missing 'tau=...' (at position 9)"),
+        ("x=(0,1); tau=(1)(2)(3)", "expected 3 residues, got 2 (at position 3)"),
+        # tau's positions count from the text after 'tau='
+        ("x=(0,1,2); tau=(1 9)", "letter 9 outside 1..3 (at position 4)"),
+        ("x=(0,1,2);  tau= (1)(2 2)", "duplicate letter 2 (at position 8)"),
+        ("x=(0,1,2); tau=1,2,2", "duplicate letter 2 (at position 5)"),
+    ],
+)
+def test_gsg_parse_error_table(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_gsg(text, 2, 3)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,offset,message",
+    [
+        ("0,1,a,2", 0, "bad residue list: '0,1,a,2' (at position 5)"),
+        ("0, 1,,2", 0, "bad residue list: '0, 1,,2' (at position 6)"),
+        (" 0 , 1 ,x, 3", 0, "bad residue list: '0 , 1 ,x, 3' (at position 9)"),
+        ("(0,1,2,)", 0, "bad residue list: '0,1,2,' (at position 8)"),
+        ("( ,0,1,2)", 4, "bad residue list: ',0,1,2' (at position 7)"),
+    ],
+)
+def test_residue_errors_point_at_the_entry(text, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse_residues(text, 4, offset)
+    assert str(err.value) == message
+
+
+def test_gsg_residue_error_points_at_the_entry():
+    with pytest.raises(ParseError) as err:
+        parse_gsg("x=(0,a,1); tau=(1)(2)(3)", 2, 3)
+    assert str(err.value) == "bad residue list: '0,a,1' (at position 6)"
+
+
+def test_parsed_permutation_is_an_ordinary_permutation():
+    parsed = parse_permutation("(5 1 4)", 5)
+    plain = Permutation((4, 2, 3, 5, 1))
+    assert parsed == plain and hash(parsed) == hash(plain)
+    assert repr(parsed) == repr(plain)
+    assert pickle.dumps(parsed) == pickle.dumps(plain)
+    assert stanley_hat(parsed) == stanley_hat(plain) == (2, 3, 5, 1, 4)
 
 
 def test_gsg_round_trip():
