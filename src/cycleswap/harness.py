@@ -20,15 +20,7 @@ from typing import Callable, Iterator
 
 from .forward import _factor_word
 from .inverse import _cycle_words, _unfactor_word, count_k_cycle_factorizations
-from .permutations import (
-    check_capacity,
-    check_sizes,
-    stanley_unhat,
-    unrank_permutation,
-    _advance,
-    _hat_cycles,
-    _k_cycles_oneline,
-)
+from .permutations import check_capacity, check_sizes, stanley_unhat, _hat_cycles
 
 #: Pair-product verification refuses above this many pairs unless overridden.
 DEFAULT_PAIR_CAPACITY = 100_000_000
@@ -109,42 +101,16 @@ class VerificationReport:
 
 
 def _cyc_counts_range(args: tuple[int, int, int, int]) -> list[int]:
-    # Counts k-cycles over a lexicographic rank range of S_kn on raw
-    # one-line tuples; skipping Permutation construction matters at 10!.
-    # Ranks [a(m-1)!, (a+1)(m-1)!) are the permutations starting with letter
-    # a: whole such blocks run at itertools speed, and only the ragged ends
-    # step with _advance.
+    # Counts k-cycles over a lexicographic rank range of S_kn.  Each word is
+    # read as a hat word, not as one-line images: the hat map is a bijection,
+    # so the words still list S_kn once and the rank ranges still partition
+    # it, and a hat word shows its cycles as the gaps between its records,
+    # so one scan counts them.  islice skips the ranks before start in C.
     k, n, start, stop = args
-    m = k * n
     counts = [0] * (n + 1)
-    if start >= stop:
-        return counts
-    if start == 0 and stop == factorial(m):
-        for images in itertools.permutations(range(m)):
-            counts[_k_cycles_oneline(images, k)] += 1
-        return counts
-    block = factorial(m - 1)
-    first, last = -(-start // block), stop // block
-    if first >= last:
-        _step_range(counts, k, m, start, stop)
-        return counts
-    _step_range(counts, k, m, start, first * block)
-    for a in range(first, last):
-        rest = [v for v in range(m) if v != a]
-        for tail in itertools.permutations(rest):
-            counts[_k_cycles_oneline((a, *tail), k)] += 1
-    _step_range(counts, k, m, last * block, stop)
+    for word in itertools.islice(itertools.permutations(range(1, k * n + 1)), start, stop):
+        counts[len(_hat_cycles(word, k))] += 1
     return counts
-
-
-def _step_range(counts: list[int], k: int, m: int, start: int, stop: int) -> None:
-    """Add the k-cycle counts of ranks [start, stop) of S_m, one _advance
-    step at a time."""
-    if start < stop:
-        images = [v - 1 for v in unrank_permutation(m, start).images]
-        for _ in range(stop - start):
-            counts[_k_cycles_oneline(images, k)] += 1
-            _advance(images)
 
 
 def k_cycle_distribution(
@@ -153,6 +119,7 @@ def k_cycle_distribution(
     """counts[m] = number of permutations of {1..kn} with exactly m
     k-cycles, by exhaustive enumeration (optionally partitioned across
     ``jobs`` processes)."""
+    check_sizes(k, n)
     total = factorial(k * n)
     check_capacity(total, limit, f"S_{k * n}")
     if jobs <= 1:
@@ -359,9 +326,10 @@ def _count_cycles(size: int, length: int, keep: int, randrange: Callable[[int], 
 
 
 def _k_cycle_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
-    # Draws the k-cycle count of a uniform element of S_kn.
+    # Draws the k-cycle count of a uniform element of S_kn.  The table is
+    # indexed by hat-word rank, which the hat bijection makes uniform on S_kn.
     if factorial(k * n) <= min(trials, _TABLE_CAP):
-        table = [_k_cycles_oneline(p, k) for p in itertools.permutations(range(k * n))]
+        table = [len(_hat_cycles(w, k)) for w in itertools.permutations(range(1, k * n + 1))]
         return _table_sampler(table, rng)
     return lambda: _count_cycles(k * n, k, 1, rng.randrange)
 

@@ -174,9 +174,19 @@ def stanley_unhat(word: Sequence[int]) -> Permutation:
 
 
 def _hat_cycles(word: Sequence[int], length: int) -> list[int]:
-    # The first letters of the cycles of that length; cycles start at records.
-    cuts = records(word) + [len(word) + 1]
-    return [word[a - 1] for a, b in zip(cuts, cuts[1:]) if b - a == length]
+    """The first letters of the cycles of that length in the permutation
+    whose hat word is ``word``: a cycle starts at each left-to-right
+    maximum and runs up to the next one, or to the end of the word."""
+    out = []
+    top = start = 0
+    for pos, letter in enumerate(word):
+        if letter > top:
+            if pos - start == length:
+                out.append(top)
+            top, start = letter, pos
+    if len(word) - start == length:
+        out.append(top)
+    return out
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
@@ -188,26 +198,7 @@ def count_k_cycles(p: Permutation, k: int) -> int:
     """Number of cycles of ``p`` with length exactly ``k``."""
     if k < 1:
         raise ValueError("k must be positive")
-    return _k_cycles_oneline([v - 1 for v in p.images], k)
-
-
-def _k_cycles_oneline(images: Sequence[int], k: int) -> int:
-    """k-cycle count of a 0-based one-line permutation, without building
-    a Permutation."""
-    seen = [False] * len(images)
-    hits = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length == k:
-            hits += 1
-    return hits
+    return len(_hat_cycles(stanley_hat(p), k))
 
 
 def enumerate_permutations(m: int, limit: int | None = None) -> Iterator[Permutation]:
@@ -219,29 +210,3 @@ def enumerate_permutations(m: int, limit: int | None = None) -> Iterator[Permuta
     for images in itertools.permutations(range(1, m + 1)):
         yield Permutation(images)
 
-
-def unrank_permutation(m: int, rank: int) -> Permutation:
-    """The permutation at position ``rank`` (0-based) in lexicographic
-    one-line order, via the factorial number system."""
-    if not 0 <= rank < factorial(m):
-        raise ValueError(f"rank {rank} outside 0..{m}!-1")
-    letters = list(range(1, m + 1))
-    images = []
-    for i in range(m, 0, -1):
-        q, rank = divmod(rank, factorial(i - 1))
-        images.append(letters.pop(q))
-    return Permutation(tuple(images))
-
-
-def _advance(images: list[int]) -> None:
-    """Step to the next permutation in lexicographic order, in place."""
-    i = len(images) - 2
-    while i >= 0 and images[i] >= images[i + 1]:
-        i -= 1
-    if i < 0:
-        return  # already the last one
-    j = len(images) - 1
-    while images[j] <= images[i]:
-        j -= 1
-    images[i], images[j] = images[j], images[i]
-    images[i + 1 :] = reversed(images[i + 1 :])

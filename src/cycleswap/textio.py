@@ -36,10 +36,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-def parse_permutation(text: str, m: int) -> Permutation:
-    """Parse cycle or one-line notation into a permutation of {1..m}."""
+def parse_permutation(text: str, m: int, offset: int = 0) -> Permutation:
+    """Parse cycle or one-line notation into a permutation of {1..m}.
+    ``offset`` counts the characters of the input before ``text``, so that
+    error positions refer to the whole input."""
     stripped = text.strip()
-    offset = text.index(stripped) if stripped else 0
+    offset += text.index(stripped) if stripped else 0
     if stripped.startswith("("):
         return _parse_cycles(stripped, m, offset)
     return _parse_oneline(stripped, m, offset)
@@ -196,7 +198,7 @@ def parse_gsg(text: str, k: int, n: int) -> GsgElement:
     tau_pos = text.find("tau=", x_end)
     if tau_pos < 0:
         raise ParseError("missing 'tau=...'", x_end + 1)
-    tau = parse_permutation(text[tau_pos + 4 :], n)
+    tau = parse_permutation(text[tau_pos + 4 :], n, tau_pos + 4)
     return GsgElement(k, x, tau)
 
 

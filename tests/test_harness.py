@@ -38,6 +38,22 @@ def _naive_cycle_lengths(images):
     return lengths
 
 
+def _naive_unhat(word):
+    """0-based one-line images of the permutation whose hat word is the
+    1-based ``word``: cut before each left-to-right maximum, read each
+    piece as a cycle.  Shares no code with the library."""
+    images = [None] * len(word)
+    pieces = []
+    for letter in word:
+        if not pieces or letter > max(max(p) for p in pieces):
+            pieces.append([])
+        pieces[-1].append(letter)
+    for piece in pieces:
+        for a, b in zip(piece, piece[1:] + piece[:1]):
+            images[a - 1] = b - 1
+    return tuple(images)
+
+
 def _naive_cyc_counts(k, n):
     counts = [0] * (n + 1)
     for images in itertools.permutations(range(k * n)):
@@ -107,6 +123,13 @@ def test_fixed_point_distribution_matches_gsg_enumeration(k, n):
     assert fixed_point_distribution(k, n).counts == tuple(counts)
 
 
+def test_k_cycle_distribution_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="k must be positive"):
+        k_cycle_distribution(0, 3)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        k_cycle_distribution(2, -1)
+
+
 def test_fixed_point_distribution_rejects_bad_sizes():
     with pytest.raises(ValueError, match="k must be positive"):
         fixed_point_distribution(0, 3)
@@ -156,19 +179,20 @@ def test_parallel_counts_match_serial():
 @pytest.mark.parametrize("k,n", [(1, 6), (2, 3), (3, 2)])
 def test_rank_ranges_match_full_count(monkeypatch, k, n):
     # Ragged [start, stop) ranges, within one first-letter block and across
-    # several, counted in this process: no pool may start.
+    # several, counted in this process: no pool may start.  The range holds
+    # the words of those ranks, each read as a hat word.
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
     cuts = [0, 3, 5, 119, 240, 250, 600, 719, 720]
-    every = list(itertools.permutations(range(k * n)))
+    every = list(itertools.permutations(range(1, k * n + 1)))
     total = [0] * (n + 1)
     for start, stop in zip(cuts, cuts[1:]):
         part = harness._cyc_counts_range((k, n, start, stop))
         expected = [0] * (n + 1)
-        for images in every[start:stop]:
-            expected[_naive_cycle_lengths(images).count(k)] += 1
+        for word in every[start:stop]:
+            expected[_naive_cycle_lengths(_naive_unhat(word)).count(k)] += 1
         assert part == expected, (start, stop)
         total = [a + b for a, b in zip(total, part)]
     assert tuple(total) == k_cycle_distribution(k, n).counts

@@ -1,4 +1,4 @@
-from math import factorial
+import itertools
 
 import pytest
 from hypothesis import given
@@ -13,8 +13,7 @@ from cycleswap.permutations import (
     records,
     stanley_hat,
     stanley_unhat,
-    unrank_permutation,
-    _advance,
+    _hat_cycles,
 )
 
 # The 15-letter running example used throughout: cycles
@@ -113,11 +112,30 @@ def test_cycle_type():
 
 
 def test_cycle_type_sums_to_m():
-    for p in enumerate_permutations(5):
-        parts = cycle_type(p)
-        assert sum(parts) == 5
-        for k in range(1, 6):
-            assert count_k_cycles(p, k) == parts.count(k)
+    for m in range(7):
+        for p in enumerate_permutations(m):
+            parts = cycle_type(p)
+            assert sum(parts) == m
+            for k in range(1, m + 2):
+                assert count_k_cycles(p, k) == parts.count(k)
+
+
+def _naive_hat_cycles(word, length):
+    """First letters of the pieces of that length when ``word`` is cut
+    before each left-to-right maximum."""
+    pieces = []
+    for i, letter in enumerate(word):
+        if all(letter > b for b in word[:i]):
+            pieces.append([])
+        pieces[-1].append(letter)
+    return [piece[0] for piece in pieces if len(piece) == length]
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_hat_cycles_matches_cutting_at_records(m):
+    for word in itertools.permutations(range(1, m + 1)):
+        for length in range(1, m + 2):
+            assert _hat_cycles(word, length) == _naive_hat_cycles(word, length), (word, length)
 
 
 def test_count_k_cycles():
@@ -167,24 +185,6 @@ def test_enumerate_permutations():
 def test_enumerate_capacity():
     with pytest.raises(CapacityError):
         next(enumerate_permutations(4, limit=10))
-
-
-def test_unrank_matches_enumeration():
-    for rank, p in enumerate(enumerate_permutations(5)):
-        assert unrank_permutation(5, rank) == p
-
-
-def test_range_partition_covers_everything():
-    # Disjoint rank ranges, each walked with _advance from its unranked
-    # start as the census workers do, list S_5 once and in order.
-    bounds = [0, 17, 17, 60, factorial(5)]
-    flat = []
-    for a, b in zip(bounds, bounds[1:]):
-        images = list(unrank_permutation(5, a).images) if a < b else []
-        for _ in range(b - a):
-            flat.append(tuple(images))
-            _advance(images)
-    assert flat == [p.images for p in enumerate_permutations(5)]
 
 
 def test_empty_permutation():

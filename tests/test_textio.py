@@ -173,10 +173,10 @@ def test_parse_error_table(text, m, message):
         ("x=(0,1,2", "unclosed 'x=(' (at position 3)"),
         ("x=(0,1,2)", "missing 'tau=...' (at position 9)"),
         ("x=(0,1); tau=(1)(2)(3)", "expected 3 residues, got 2 (at position 3)"),
-        # tau's positions count from the text after 'tau='
-        ("x=(0,1,2); tau=(1 9)", "letter 9 outside 1..3 (at position 4)"),
-        ("x=(0,1,2);  tau= (1)(2 2)", "duplicate letter 2 (at position 8)"),
-        ("x=(0,1,2); tau=1,2,2", "duplicate letter 2 (at position 5)"),
+        # tau's positions count from the start of the input, as x's do
+        ("x=(0,1,2); tau=(1 9)", "letter 9 outside 1..3 (at position 19)"),
+        ("x=(0,1,2);  tau= (1)(2 2)", "duplicate letter 2 (at position 24)"),
+        ("x=(0,1,2); tau=1,2,2", "duplicate letter 2 (at position 20)"),
     ],
 )
 def test_gsg_parse_error_table(text, message):
