@@ -19,7 +19,8 @@ from cycleswap.harness import (
     verify_involution,
 )
 from cycleswap.gsg import count_fixed_points, enumerate_gsg
-from cycleswap.permutations import CapacityError
+from cycleswap.inverse import _cycle_words, count_k_cycle_factorizations
+from cycleswap.permutations import CapacityError, _hat_cycles, stanley_unhat
 
 
 def _naive_cycle_lengths(images):
@@ -243,12 +244,30 @@ def test_verify_involution_small():
 
 
 def test_verify_involution_factors_each_pi_once(monkeypatch):
-    # Each of the 4! words is factored once, and each of the 24 * 8 outputs
-    # once more for the second application; re-factoring pi for every sigma
-    # would read 2 * 192 = 384.
+    # Each of the 4! words is factored once, and each of the 8 sigma' x 3
+    # deltas factors its output once for its whole delta-fibre: 24 + 24.
+    # Factoring every pair's output would read 24 + 192 = 216.
     calls = _count_calls(monkeypatch, "_factor_word")
     assert verify_involution(2, 2).passed
-    assert len(calls) == factorial(4) + 24 * 8
+    assert len(calls) == 48
+
+
+def test_verify_involution_unfactors_once_per_pi_and_per_fibre(monkeypatch):
+    # Each word's own factorization is unfactored once, and each sigma' and
+    # delta once; the way back reuses the first when it meets delta_pi.
+    calls = _count_calls(monkeypatch, "_unfactor_word")
+    assert verify_involution(2, 2).passed
+    assert len(calls) == 48
+
+
+def test_verify_bijection_runs_the_kernels_in_the_left_loop_only(monkeypatch):
+    # Every pi marks its (delta, sigma), so the right-inverse loop runs no
+    # kernel when everything passes.
+    factor_calls = _count_calls(monkeypatch, "_factor_word")
+    unfactor_calls = _count_calls(monkeypatch, "_unfactor_word")
+    assert verify_bijection(2, 2).passed
+    assert len(factor_calls) == factorial(4)
+    assert len(unfactor_calls) == factorial(4)
 
 
 def _break_inverse_kernel(monkeypatch, target):
@@ -265,6 +284,25 @@ def _break_inverse_kernel(monkeypatch, target):
     monkeypatch.setattr(harness, "_unfactor_word", broken)
 
 
+_MISREPORTS = {
+    "x": lambda delta, x, tau_hat: (delta, (x[0] + 1,) + x[1:], tau_hat),
+    "delta": lambda delta, x, tau_hat: ((delta[1], delta[0]) + delta[2:], x, tau_hat),
+}
+
+
+def _break_forward_kernel(monkeypatch, target, part="x"):
+    # The forward kernel reports x_1 + 1, or delta with its first two
+    # letters swapped, for the one word ``target`` and is right everywhere
+    # else.
+    real = harness._factor_word
+
+    def broken(word, k):
+        out = real(word, k)
+        return _MISREPORTS[part](*out) if word == target else out
+
+    monkeypatch.setattr(harness, "_factor_word", broken)
+
+
 def test_broken_inverse_kernel_is_caught_by_verify_bijection(monkeypatch):
     _break_inverse_kernel(monkeypatch, (*harness._factor_word((1, 2, 3, 4), 2), 2))
     report = verify_bijection(2, 2)
@@ -279,6 +317,125 @@ def test_broken_inverse_kernel_is_caught_by_verify_involution(monkeypatch):
     assert not report.properties["involution"]
     assert re.fullmatch(r"sigma=\(\(\d, \d, \d\),\(\d, \d, \d\)\) pi=\(\d, \d, \d\)",
                         report.counterexample)
+
+
+def test_broken_forward_kernel_is_caught_by_verify_bijection(monkeypatch):
+    _break_forward_kernel(monkeypatch, (2, 1, 4, 3))
+    report = verify_bijection(2, 2)
+    assert not report.passed
+    assert re.fullmatch(r"pi=\(\d+(, \d+)*\)", report.counterexample)
+
+
+def test_broken_forward_kernel_is_caught_by_verify_involution(monkeypatch):
+    _break_forward_kernel(monkeypatch, (1, 2, 3))
+    report = verify_involution(1, 3)
+    assert not report.passed
+    assert re.fullmatch(r"sigma=\(\(\d, \d, \d\),\(\d, \d, \d\)\) pi=\(\d, \d, \d\)",
+                        report.counterexample)
+
+
+def _naive_verify_bijection(k, n):
+    # Both kernels on every pi, and again on every (delta, sigma).
+    report = VerificationReport("bijection", k, n)
+    checked = 0
+    for word in itertools.permutations(range(1, k * n + 1)):
+        delta, x, tau_hat = harness._factor_word(word, k)
+        if len(_hat_cycles(word, k)) != harness._fixed_points(x, tau_hat):
+            report.record("statistic_preserved", False, f"pi={stanley_unhat(word).images}")
+        if harness._unfactor_word(delta, x, tau_hat, k)[0] != word:
+            report.record("left_inverse", False, f"pi={stanley_unhat(word).images}")
+        checked += 1
+    report.record("statistic_preserved", True)
+    report.record("left_inverse", True)
+    sigmas = harness._gsg_words(k, n, None)
+    n_delta = 0
+    for delta in _cycle_words(frozenset(range(1, k * n + 1)), k):
+        n_delta += 1
+        for x, tau_hat in sigmas:
+            out = harness._unfactor_word(delta, x, tau_hat, k)[0]
+            if harness._factor_word(out, k) != (delta, x, tau_hat):
+                report.record("right_inverse", False, f"delta={stanley_unhat(delta).images} "
+                              f"sigma=({x},{stanley_unhat(tau_hat).images})")
+        checked += len(sigmas)
+    report.record("right_inverse", True)
+    report.record(
+        "codomain_cardinality",
+        n_delta == count_k_cycle_factorizations(k, n)
+        and n_delta * k**n * factorial(n) == factorial(k * n),
+        f"|D|={n_delta}",
+    )
+    report.checked = checked
+    return report
+
+
+def _naive_verify_involution(k, n):
+    # The involution applied twice to every pair, both kernels each time.
+    report = VerificationReport("involution", k, n)
+    words = list(itertools.permutations(range(1, k * n + 1)))
+    checked = 0
+    for x, tau_hat in harness._gsg_words(k, n, None):
+        for word in words:
+            delta, x_out, tau_out = harness._factor_word(word, k)
+            out = harness._unfactor_word(delta, x, tau_hat, k)[0]
+            swapped = (len(_hat_cycles(word, k)) == harness._fixed_points(x_out, tau_out)
+                       and len(_hat_cycles(out, k)) == harness._fixed_points(x, tau_hat))
+            back, *sigma_back = harness._factor_word(out, k)
+            twice = (sigma_back == [x, tau_hat]
+                     and harness._unfactor_word(back, x_out, tau_out, k)[0] == word)
+            if not (swapped and twice):
+                text = f"sigma=({x},{stanley_unhat(tau_hat).images}) pi={stanley_unhat(word).images}"
+                report.record("statistic_swap", swapped, text)
+                report.record("involution", twice, text)
+        checked += len(words)
+    report.record("statistic_swap", True)
+    report.record("involution", True)
+    report.checked = checked
+    return report
+
+
+def _kernel_patches(k, n):
+    # No patch, then each kernel broken at the identity word.
+    ident = tuple(range(1, k * n + 1))
+    yield lambda mp: None
+    if k * n >= 2:
+        yield lambda mp: _break_inverse_kernel(mp, (*harness._factor_word(ident, k), k))
+        yield lambda mp: _break_forward_kernel(mp, ident, "x")
+        yield lambda mp: _break_forward_kernel(mp, ident, "delta")
+
+
+def _sizes(max_m):
+    return [(k, m // k) for m in range(max_m + 1) for k in range(1, max(m, 1) + 1) if m % k == 0]
+
+
+@pytest.mark.parametrize("kind, max_m", [("bijection", 6), ("involution", 5)])
+def test_verify_matches_the_naive_per_pair_loops(kind, max_m):
+    # Every record() call is logged, so the two must judge every failing
+    # element or pair alike and in the same order, not just agree on the
+    # first counterexample.
+    fast = verify_bijection if kind == "bijection" else verify_involution
+    naive = _naive_verify_bijection if kind == "bijection" else _naive_verify_involution
+    real_record = VerificationReport.record
+    log = []
+
+    def logged(self, prop, ok, counterexample=None):
+        log.append((prop, ok, counterexample))
+        real_record(self, prop, ok, counterexample)
+
+    outcomes = set()
+    for k, n in _sizes(max_m):
+        for patch in _kernel_patches(k, n):
+            with pytest.MonkeyPatch.context() as mp:
+                patch(mp)
+                mp.setattr(VerificationReport, "record", logged)
+                got = fast(k, n)
+                got_log, log[:] = log[:], []
+                want = naive(k, n)
+                want_log, log[:] = log[:], []
+            assert (got.properties, got.checked, got.counterexample) == (
+                want.properties, want.checked, want.counterexample), (k, n)
+            assert got_log == want_log, (k, n)
+            outcomes.add(want.passed)
+    assert outcomes == {True, False}
 
 
 def test_sample_deterministic():
