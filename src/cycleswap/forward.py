@@ -63,6 +63,8 @@ class FactoredPair:
 
 def block(word: Sequence[int], i: int, k: int) -> tuple[int, ...]:
     """The i-th length-k contiguous piece of ``word`` (1-based)."""
+    if k < 1:
+        raise ValueError("k must be positive")
     if len(word) % k != 0:
         raise ValueError(f"word length {len(word)} not divisible by k={k}")
     if not 1 <= i <= len(word) // k:
@@ -72,6 +74,8 @@ def block(word: Sequence[int], i: int, k: int) -> tuple[int, ...]:
 
 def block_leaders(word: Sequence[int], k: int) -> tuple[int, ...]:
     """Maximum letter of each length-k block of ``word``."""
+    if k < 1:
+        raise ValueError("k must be positive")
     if len(word) % k != 0:
         raise ValueError(f"word length {len(word)} not divisible by k={k}")
     return tuple(max(block(word, i, k)) for i in range(1, len(word) // k + 1))
@@ -84,11 +88,6 @@ def standardize(seq: Sequence[int]) -> tuple[int, ...]:
     if len(order) != len(seq):
         raise ValueError(f"entries not distinct: {seq}")
     return tuple([order[v] for v in seq])
-
-
-def k_cycle_factor(p: Permutation, k: int) -> KCycleFactorization:
-    """Re-parenthesize the hat word of ``p`` into n disjoint k-cycles."""
-    return factor(p, k).delta
 
 
 def leader_distance(word: Sequence[int], i: int, k: int) -> tuple[int, int]:

@@ -6,13 +6,12 @@ in cross-multiplied form so no rationals or floats ever appear.  Exhaustive
 enumerations are partitionable by lexicographic rank range, so distributions
 can be computed by independent workers and merged by pointwise addition.
 
-The exhaustive bijection and involution checks keep each kernel result for
-the length of one call and reuse it wherever the same arguments come up
-again.  verify_involution runs the kernels once per sigma' and delta-fibre,
-not once per pair; verify_bijection's right-inverse loop skips every
-(delta, sigma) that the left loop already round-tripped, at a cost of (kn)!
-bytes.  Every element and pair is still judged by the same predicate, and
-failures are still reported in enumeration order.
+The exhaustive bijection and involution checks share one kernel pass.  It
+factors and unfactors each permutation once, and runs the kernels on a
+(delta, sigma) only when no permutation round-tripped through it, keeping one
+byte per pair, (kn)! bytes in all.  When everything passes, that pass alone
+proves the involution on every pair; otherwise the failing pairs are found
+one by one, in enumeration order.
 """
 
 from __future__ import annotations
@@ -214,49 +213,64 @@ def _fixed_points(x: tuple[int, ...], tau_hat: tuple[int, ...]) -> int:
     return sum(x[i - 1] == 0 for i in _hat_cycles(tau_hat, 1))
 
 
-def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationReport:
-    """Round-trip the factorization both ways over the whole domain and
-    codomain, and check the statistic equality on every element.  Each
-    permutation is enumerated by its hat word, which is exact because the
-    hat map is a bijection.
-
-    A pi that factors into (delta, sigma) and unfactors back to pi proves
-    the right inverse at (delta, sigma) as well, so the left loop marks that
-    pair in a row of bytes per delta, and the right loop runs the kernels
-    only on the pairs left unmarked: (kn)! bytes in all."""
-    report = VerificationReport("bijection", k, n)
-    t0 = time.perf_counter()
+def _round_trips(k: int, n: int, limit: int | None):
+    # The one kernel pass behind both exhaustive checks.  rows[delta][i] is set
+    # once (delta, sigmas[i]) is known to round-trip and keep its statistic:
+    # by a pi that factors into it, round-trips and keeps its own, or else by
+    # running the kernels on it.  Failures come back in enumeration order.
     check_sizes(k, n)
     check_capacity(factorial(k * n), limit, f"S_{k * n}")
     sigmas = _gsg_words(k, n, limit)
     check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
     index = {sigma: i for i, sigma in enumerate(sigmas)}
     rows: defaultdict[tuple[int, ...], bytearray] = defaultdict(lambda: bytearray(len(sigmas)))
-    checked = 0
+    bad_pis = []
     for word in itertools.permutations(range(1, k * n + 1)):
         delta, x, tau_hat = _factor_word(word, k)
-        if len(_hat_cycles(word, k)) != _fixed_points(x, tau_hat):
-            report.record("statistic_preserved", False, f"pi={stanley_unhat(word).images}")
-        if _unfactor_word(delta, x, tau_hat, k)[0] != word:
-            report.record("left_inverse", False, f"pi={stanley_unhat(word).images}")
+        kept = len(_hat_cycles(word, k)) == _fixed_points(x, tau_hat)
+        back = _unfactor_word(delta, x, tau_hat, k)[0] == word
+        if not (kept and back):
+            bad_pis.append((word, kept, back))
         elif (i := index.get((x, tau_hat))) is not None:
             rows[delta][i] = 1
-        checked += 1
-    report.record("statistic_preserved", True)
-    report.record("left_inverse", True)
-    unmarked = bytes(len(sigmas))
+    bad_pairs = []
     n_delta = 0
     for delta in _cycle_words(frozenset(range(1, k * n + 1)), k):
         n_delta += 1
-        row = rows.pop(delta, unmarked)
+        row = rows[delta]
         i = row.find(0)
         while i >= 0:
             x, tau_hat = sigmas[i]
-            if _factor_word(_unfactor_word(delta, x, tau_hat, k)[0], k) != (delta, x, tau_hat):
-                report.record("right_inverse", False, f"delta={stanley_unhat(delta).images} "
-                              f"sigma=({x},{stanley_unhat(tau_hat).images})")
+            out = _unfactor_word(delta, x, tau_hat, k)[0]
+            back = _factor_word(out, k) == (delta, x, tau_hat)
+            if back and len(_hat_cycles(out, k)) == _fixed_points(x, tau_hat):
+                row[i] = 1
+            else:
+                bad_pairs.append((delta, i, back))
             i = row.find(0, i + 1)
-        checked += len(sigmas)
+    return sigmas, rows, bad_pis, bad_pairs, n_delta
+
+
+def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationReport:
+    """Round-trip the factorization both ways over the whole domain and
+    codomain, and check the statistic equality on every element.  Each
+    permutation is enumerated by its hat word, which is exact because the
+    hat map is a bijection."""
+    report = VerificationReport("bijection", k, n)
+    t0 = time.perf_counter()
+    sigmas, _, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
+    for word, kept, back in bad_pis:
+        if not kept:
+            report.record("statistic_preserved", False, f"pi={stanley_unhat(word).images}")
+        if not back:
+            report.record("left_inverse", False, f"pi={stanley_unhat(word).images}")
+    report.record("statistic_preserved", True)
+    report.record("left_inverse", True)
+    for delta, i, back in bad_pairs:
+        if not back:
+            x, tau_hat = sigmas[i]
+            report.record("right_inverse", False, f"delta={stanley_unhat(delta).images} "
+                          f"sigma=({x},{stanley_unhat(tau_hat).images})")
     report.record("right_inverse", True)
     report.record(
         "codomain_cardinality",
@@ -264,7 +278,7 @@ def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationRe
         and n_delta * k**n * factorial(n) == factorial(k * n),
         f"|D|={n_delta}",
     )
-    report.checked = checked
+    report.checked = factorial(k * n) + n_delta * len(sigmas)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -273,14 +287,14 @@ def verify_involution(
     k: int, n: int, pair_limit: int | None = None, limit: int | None = None
 ) -> VerificationReport:
     """Apply the involution twice to every pair in the full product and
-    check the statistic swap on the way.  Pairs are enumerated by hat
-    words, and each pi is factored once.
+    check the statistic swap on the way.
 
-    The image of (sigma', pi) is (sigma_pi, unfactor(delta_pi, sigma')), so
-    the kernels on the way out and the k-cycles of the output depend on pi
-    only through delta_pi: they run once per sigma' and delta, for the whole
-    fibre of pi with that delta.  On the way back, unfactor(delta_pi,
-    sigma_pi) == pi was already settled when pi was factored."""
+    The involution sends (sigma', pi) to (sigma_pi, unfactor(delta_pi,
+    sigma')), so it swaps the statistics and undoes itself on every pair as
+    soon as the factorization round-trips both ways, keeps the statistic
+    and its codomain has (kn)! elements: then the bijection check's kernel
+    pass settles every pair.  Otherwise each pair is checked in turn, except
+    those whose pi and (delta_pi, sigma') both passed that pass."""
     report = VerificationReport("involution", k, n)
     t0 = time.perf_counter()
     check_sizes(k, n)
@@ -288,45 +302,31 @@ def verify_involution(
     if pair_limit is None:
         pair_limit = DEFAULT_PAIR_CAPACITY
     check_capacity(n_pairs, pair_limit, f"S({k},{n}) x S_{k * n}")
-    check_capacity(factorial(k * n), limit, f"S_{k * n}")
-    words = list(itertools.permutations(range(1, k * n + 1)))
-    factored = [_factor_word(word, k) for word in words]
-    # pi's k-cycles against the fixed points of the sigma it factors into,
-    # and whether that factorization unfactors back to pi.
-    kept = [len(_hat_cycles(w, k)) == _fixed_points(x, t) for w, (_, x, t) in zip(words, factored)]
-    left_ok = [_unfactor_word(*f, k)[0] == w for w, f in zip(words, factored)]
-    by_delta: dict[tuple[int, ...], list[int]] = {}
-    for j, (delta, _, _) in enumerate(factored):
-        by_delta.setdefault(delta, []).append(j)
-    fibres = [(delta, js, all(kept[j] and left_ok[j] for j in js)) for delta, js in by_delta.items()]
-    checked = 0
-    for x, tau_hat in _gsg_words(k, n, limit):
-        fixed = _fixed_points(x, tau_hat)
-        failures = []
-        for delta, js, fibre_ok in fibres:
-            out = _unfactor_word(delta, x, tau_hat, k)[0]
-            out_ok = len(_hat_cycles(out, k)) == fixed
-            back, *sigma_back = _factor_word(out, k)
-            sigma_ok = sigma_back == [x, tau_hat]
-            if out_ok and sigma_ok and back == delta and fibre_ok:
-                continue
-            for j in js:
-                swapped = kept[j] and out_ok
-                twice = sigma_ok and (
-                    left_ok[j] if back == delta
-                    else _unfactor_word(back, *factored[j][1:], k)[0] == words[j]
-                )
+    sigmas, rows, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
+    if bad_pis or bad_pairs or n_delta * len(sigmas) != factorial(k * n):
+        bad = {word for word, _, _ in bad_pis}
+        pis = []
+        for word in itertools.permutations(range(1, k * n + 1)):
+            delta, x_pi, tau_pi = _factor_word(word, k)
+            pis.append((word, delta, x_pi, tau_pi, None if word in bad else rows.get(delta)))
+        for i, (x, tau_hat) in enumerate(sigmas):
+            fixed = _fixed_points(x, tau_hat)
+            for word, delta, x_pi, tau_pi, row in pis:
+                if row is not None and row[i]:
+                    continue
+                out = _unfactor_word(delta, x, tau_hat, k)[0]
+                swapped = (len(_hat_cycles(word, k)) == _fixed_points(x_pi, tau_pi)
+                           and len(_hat_cycles(out, k)) == fixed)
+                back, *sigma_back = _factor_word(out, k)
+                twice = (sigma_back == [x, tau_hat]
+                         and _unfactor_word(back, x_pi, tau_pi, k)[0] == word)
                 if not (swapped and twice):
-                    failures.append((j, swapped, twice))
-        # Pairs are reported in rank order of pi, as a walk over the ranks would.
-        for j, swapped, twice in sorted(failures):
-            text = f"sigma=({x},{stanley_unhat(tau_hat).images}) pi={stanley_unhat(words[j]).images}"
-            report.record("statistic_swap", swapped, text)
-            report.record("involution", twice, text)
-        checked += len(words)
+                    text = f"sigma=({x},{stanley_unhat(tau_hat).images}) pi={stanley_unhat(word).images}"
+                    report.record("statistic_swap", swapped, text)
+                    report.record("involution", twice, text)
     report.record("statistic_swap", True)
     report.record("involution", True)
-    report.checked = checked
+    report.checked = n_pairs
     report.wall_time = time.perf_counter() - t0
     return report
 

@@ -10,7 +10,6 @@ from cycleswap.forward import (
     KCycleFactorization,
     block,
     factor,
-    k_cycle_factor,
     leader_distance,
 )
 from cycleswap.gsg import GsgElement, count_fixed_points, enumerate_gsg
@@ -203,7 +202,7 @@ def test_criterion_10_supporting_properties():
                     ) and (i + k == m + 1 or (i + k <= m and word[i + k - 1] > word[i - 1]))
                     ok &= predicted == _begins_k_cycle(p, i, k)
                 # unique-rotation claim
-                delta_hat = stanley_hat(k_cycle_factor(p, k).perm)
+                delta_hat = stanley_hat(factor(p, k).delta.perm)
                 leaders = [max(block(word, i, k)) for i in range(1, n + 1)]
                 order = {v: r for r, v in enumerate(sorted(leaders), start=1)}
                 for i in range(1, n + 1):

@@ -6,7 +6,6 @@ from cycleswap.forward import (
     block,
     block_leaders,
     factor,
-    k_cycle_factor,
     standardize,
 )
 from cycleswap.gsg import GsgElement, count_fixed_points
@@ -34,6 +33,9 @@ def test_block():
     assert block((3, 1, 2), 2, 1) == (1,)
     with pytest.raises(ValueError):
         block(PI_HAT, 6, 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            block((1, 2), 1, k)
 
 
 def test_block_leaders():
@@ -42,6 +44,9 @@ def test_block_leaders():
     assert block_leaders((3, 1, 2), 1) == (3, 1, 2)
     with pytest.raises(ValueError):
         block_leaders((1, 2, 3), 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            block_leaders((1, 2), k)
 
 
 def test_blocks_partition_word():
@@ -59,24 +64,24 @@ def test_standardize():
 
 
 def test_k_cycle_factor_running_example():
-    assert k_cycle_factor(PI, 3).perm == DELTA
+    assert factor(PI, 3).delta.perm == DELTA
 
 
 def test_k_cycle_factor_trivial():
-    assert k_cycle_factor(Permutation.identity(2), 1).perm == Permutation.identity(2)
-    assert k_cycle_factor(Permutation((2, 1)), 2).perm == Permutation((2, 1))
+    assert factor(Permutation.identity(2), 1).delta.perm == Permutation.identity(2)
+    assert factor(Permutation((2, 1)), 2).delta.perm == Permutation((2, 1))
 
 
 def test_k_cycle_factor_invariant():
     for p in enumerate_permutations(6):
         for k in (1, 2, 3, 6):
-            delta = k_cycle_factor(p, k)
+            delta = factor(p, k).delta
             assert cycle_type(delta.perm) == (k,) * (6 // k)
 
 
 def test_k_cycle_factor_rejects_bad_size():
     with pytest.raises(ValueError):
-        k_cycle_factor(Permutation.identity(5), 2)
+        factor(Permutation.identity(5), 2).delta
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -243,29 +243,15 @@ def test_verify_involution_small():
     assert report.checked == 24 * 8
 
 
-def test_verify_involution_factors_each_pi_once(monkeypatch):
-    # Each of the 4! words is factored once, and each of the 8 sigma' x 3
-    # deltas factors its output once for its whole delta-fibre: 24 + 24.
-    # Factoring every pair's output would read 24 + 192 = 216.
-    calls = _count_calls(monkeypatch, "_factor_word")
-    assert verify_involution(2, 2).passed
-    assert len(calls) == 48
-
-
-def test_verify_involution_unfactors_once_per_pi_and_per_fibre(monkeypatch):
-    # Each word's own factorization is unfactored once, and each sigma' and
-    # delta once; the way back reuses the first when it meets delta_pi.
-    calls = _count_calls(monkeypatch, "_unfactor_word")
-    assert verify_involution(2, 2).passed
-    assert len(calls) == 48
-
-
-def test_verify_bijection_runs_the_kernels_in_the_left_loop_only(monkeypatch):
-    # Every pi marks its (delta, sigma), so the right-inverse loop runs no
-    # kernel when everything passes.
+@pytest.mark.parametrize("check", [verify_bijection, verify_involution],
+                         ids=["bijection", "involution"])
+def test_exhaustive_checks_run_each_kernel_once_per_pi(monkeypatch, check):
+    # Each of the 4! words is factored and unfactored once.  Every pi then
+    # vouches for its (delta, sigma), so no pair needs a kernel call, and a
+    # passing involution check needs none beyond that pass.
     factor_calls = _count_calls(monkeypatch, "_factor_word")
     unfactor_calls = _count_calls(monkeypatch, "_unfactor_word")
-    assert verify_bijection(2, 2).passed
+    assert check(2, 2).passed
     assert len(factor_calls) == factorial(4)
     assert len(unfactor_calls) == factorial(4)
 
@@ -393,14 +379,44 @@ def _naive_verify_involution(k, n):
     return report
 
 
+def _miscount_fixed_points(monkeypatch, x0, tau0):
+    # One more fixed point than the truth for the one sigma (x0, tau0): every
+    # pi that factors into it round-trips but does not keep its statistic.
+    real = harness._fixed_points
+
+    def miscounted(x, tau_hat):
+        return real(x, tau_hat) + (x == x0 and tau_hat == tau0)
+
+    monkeypatch.setattr(harness, "_fixed_points", miscounted)
+
+
+def _relabel_delta(monkeypatch, target, k):
+    # The forward kernel misreports delta for the one word ``target`` and the
+    # inverse kernel maps that report back to ``target``: every pi
+    # round-trips, but the (delta, sigma) it came from does not.
+    _break_forward_kernel(monkeypatch, target, "delta")
+    moved = (*harness._factor_word(target, k), k)
+    real = harness._unfactor_word
+
+    def relabelled(*args):
+        word, shifts = real(*args)
+        return (target if args == moved else word), shifts
+
+    monkeypatch.setattr(harness, "_unfactor_word", relabelled)
+
+
 def _kernel_patches(k, n):
-    # No patch, then each kernel broken at the identity word.
+    # No patch, then the kernels broken at the identity word (the last patch
+    # keeps every pi round-tripping), then the statistic miscounted at x = 0
+    # with tau the identity.
     ident = tuple(range(1, k * n + 1))
     yield lambda mp: None
     if k * n >= 2:
         yield lambda mp: _break_inverse_kernel(mp, (*harness._factor_word(ident, k), k))
         yield lambda mp: _break_forward_kernel(mp, ident, "x")
         yield lambda mp: _break_forward_kernel(mp, ident, "delta")
+        yield lambda mp: _relabel_delta(mp, ident, k)
+    yield lambda mp: _miscount_fixed_points(mp, (0,) * n, tuple(range(1, n + 1)))
 
 
 def _sizes(max_m):
