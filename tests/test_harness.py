@@ -243,15 +243,29 @@ def test_verify_involution_small():
     assert report.checked == 24 * 8
 
 
-@pytest.mark.parametrize("check", [verify_bijection, verify_involution],
-                         ids=["bijection", "involution"])
-def test_exhaustive_checks_run_each_kernel_once_per_pi(monkeypatch, check):
-    # Each of the 4! words is factored and unfactored once.  Every pi then
-    # vouches for its (delta, sigma), so no pair needs a kernel call, and a
-    # passing involution check needs none beyond that pass.
+def test_verify_involution_factors_each_pi_once(monkeypatch):
+    # Each of the 4! words is factored once.  Every pi then vouches for its
+    # (delta, sigma), so a passing run factors nothing more: 24 calls, not the
+    # 24 + 192 = 216 of factoring every pair's output.
+    calls = _count_calls(monkeypatch, "_factor_word")
+    assert verify_involution(2, 2).passed
+    assert len(calls) == factorial(4)
+
+
+def test_verify_involution_unfactors_once_per_pi_and_per_fibre(monkeypatch):
+    # Each word's own factorization is unfactored once; no delta-fibre needs
+    # an unfactor call of its own when every pi round-trips.
+    calls = _count_calls(monkeypatch, "_unfactor_word")
+    assert verify_involution(2, 2).passed
+    assert len(calls) == factorial(4)
+
+
+def test_verify_bijection_runs_the_kernels_in_the_left_loop_only(monkeypatch):
+    # Every pi marks its (delta, sigma), so the right-inverse loop runs no
+    # kernel when everything passes.
     factor_calls = _count_calls(monkeypatch, "_factor_word")
     unfactor_calls = _count_calls(monkeypatch, "_unfactor_word")
-    assert check(2, 2).passed
+    assert verify_bijection(2, 2).passed
     assert len(factor_calls) == factorial(4)
     assert len(unfactor_calls) == factorial(4)
 
