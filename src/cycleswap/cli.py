@@ -8,7 +8,7 @@ failure, 2 usage or parse error, 3 capacity refusal.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 
 from .forward import KCycleFactorization, factor
@@ -30,9 +30,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-
-#: --force replaces the default capacity with this.
-UNLIMITED = 10**30
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,8 +135,6 @@ def _check_sizes(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValueError(f"--{name} must be at least {low}, got {value}")
-    if getattr(args, "jobs", None) is not None:
-        args.jobs = min(args.jobs, os.cpu_count() or 1)
 
 
 def _emit(lines: list[str]) -> None:
@@ -212,7 +207,7 @@ def _cmd_involute(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    limit = UNLIMITED if args.force else None
+    limit = math.inf if args.force else None
     cyc = k_cycle_distribution(args.k, args.n, limit=limit, jobs=args.jobs)
     fxpt = fixed_point_distribution(args.k, args.n, limit=limit)
     if args.format == "structured":
@@ -235,15 +230,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    limit = UNLIMITED if args.force else None
-    pair_limit = UNLIMITED if args.force else None
+    limit = math.inf if args.force else None
     reports = []
     if args.which in ("theorem1", "all"):
         reports.append(verify_distribution_identity(args.k, args.n, limit=limit, jobs=args.jobs))
     if args.which in ("bijection", "all"):
         reports.append(verify_bijection(args.k, args.n, limit=limit))
     if args.which in ("involution", "all"):
-        reports.append(verify_involution(args.k, args.n, pair_limit=pair_limit, limit=limit))
+        reports.append(verify_involution(args.k, args.n, pair_limit=limit, limit=limit))
     for report in reports:
         if args.format == "structured":
             _emit(report.to_structured())

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gsg import GsgElement
-from .permutations import (
-    Permutation,
-    cycle_type,
-    records,
-    stanley_hat,
-    stanley_unhat,
-)
+from .permutations import Permutation, _hat_cycles, _trusted, cycle_type, records
+from .permutations import stanley_hat, stanley_unhat
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class KCycleFactorization:
             raise ValueError("k must be positive")
         if self.perm.size % self.k != 0:
             raise ValueError(f"size {self.perm.size} not divisible by k={self.k}")
-        if any(len(c) != self.k for c in self.perm.cycles()):
+        if len(_hat_cycles(stanley_hat(self.perm), self.k)) * self.k != self.perm.size:
             raise ValueError(f"cycle type is not ({self.k}^n): {cycle_type(self.perm)}")
 
     @property
@@ -78,7 +73,7 @@ def block_leaders(word: Sequence[int], k: int) -> tuple[int, ...]:
         raise ValueError("k must be positive")
     if len(word) % k != 0:
         raise ValueError(f"word length {len(word)} not divisible by k={k}")
-    return tuple(max(block(word, i, k)) for i in range(1, len(word) // k + 1))
+    return tuple(max(word[i : i + k]) for i in range(0, len(word), k))
 
 
 def standardize(seq: Sequence[int]) -> tuple[int, ...]:
@@ -108,8 +103,12 @@ def factor(p: Permutation, k: int) -> FactoredPair:
     if len(word) % k != 0:
         raise ValueError(f"size {len(word)} not divisible by k={k}")
     delta_word, x, tau_hat = _factor_word(word, k)
-    delta = KCycleFactorization(k, stanley_unhat(delta_word))
-    return FactoredPair(delta, GsgElement(k, x, stanley_unhat(tau_hat)))
+    delta = stanley_unhat(delta_word)
+    # delta has only k-cycles iff it has n; the kernel reduces x mod k.
+    if len(_hat_cycles(delta_word, k)) * k != len(word):
+        raise ValueError(f"cycle type is not ({k}^n): {cycle_type(delta)}")
+    sigma = _trusted(GsgElement, k=k, x=x, tau=stanley_unhat(tau_hat))
+    return _trusted(FactoredPair, delta=_trusted(KCycleFactorization, k=k, perm=delta), sigma=sigma)
 
 
 def _factor_word(word: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:

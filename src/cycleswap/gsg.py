@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .permutations import Permutation, check_capacity, check_sizes
+from .permutations import Permutation, _trusted, check_capacity, check_sizes
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,6 @@ def enumerate_gsg(k: int, n: int, limit: int | None = None) -> Iterator[GsgEleme
     check_sizes(k, n)
     check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
     for images in itertools.permutations(range(1, n + 1)):
-        tau = Permutation(images)
+        tau = _trusted(Permutation, images=images)
         for x in itertools.product(range(k), repeat=n):
-            yield GsgElement(k, x, tau)
+            yield _trusted(GsgElement, k=k, x=x, tau=tau)

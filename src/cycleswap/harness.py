@@ -36,6 +36,9 @@ DEFAULT_PAIR_CAPACITY = 100_000_000
 #: The sampler tabulates a group's statistic by rank only up to 8! elements.
 _TABLE_CAP = 40_320
 
+#: A smaller census runs serially: on 2 cores a pool of 2 breaks even at 8!.
+_POOL_MIN = 40_320
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -126,10 +129,11 @@ def k_cycle_distribution(
 ) -> Distribution:
     """counts[m] = number of permutations of {1..kn} with exactly m
     k-cycles, by exhaustive enumeration (optionally partitioned across
-    ``jobs`` processes)."""
+    ``jobs`` processes, at most one per CPU, from ``_POOL_MIN`` items)."""
     check_sizes(k, n)
     total = factorial(k * n)
     check_capacity(total, limit, f"S_{k * n}")
+    jobs = min(jobs, multiprocessing.cpu_count()) if total >= _POOL_MIN else 1
     if jobs <= 1:
         counts = _cyc_counts_range((k, n, 0, total))
     else:

@@ -22,7 +22,8 @@ from typing import Iterator, Sequence
 
 from .forward import FactoredPair, KCycleFactorization
 from .gsg import GsgElement
-from .permutations import Permutation, check_capacity, check_sizes, stanley_hat, stanley_unhat
+from .permutations import Permutation, _trusted, check_capacity, check_sizes
+from .permutations import stanley_hat, stanley_unhat
 
 
 def rotate_left(piece: Sequence[int], s: int) -> tuple[int, ...]:
@@ -40,15 +41,16 @@ def _unfactor_word(
     # (its k-cycles, each from its leader, in increasing leader order), x
     # and tau_hat.
     blocks = [delta_word[k * t - k : k * t] for t in tau_hat]
-    # before[i]: the largest leader left of block i.
+    # before[i]: the largest leader left of block i; only a larger one moves g.
     before = list(itertools.accumulate((b[0] for b in blocks), max, initial=0))
     shifts = [0] * len(blocks)
     g = len(delta_word) + 1
     for i in range(len(blocks) - 1, -1, -1):
-        start, b = k * i, blocks[i]
+        start, b, top = k * i, blocks[i], before[i]
         s = shifts[i] = (x[tau_hat[i] - 1] - (g - start - 1)) % k
-        b = blocks[i] = b[s:] + b[:s]
-        g = next((start + j for j, v in enumerate(b, 1) if v > before[i]), g)
+        blocks[i] = b[s:] + b[:s] if s else b
+        if b[0] > top:
+            g = next(start + j for j, v in enumerate(blocks[i], 1) if v > top)
     return tuple(itertools.chain.from_iterable(blocks)), shifts
 
 
@@ -86,7 +88,7 @@ def enumerate_k_cycle_factorizations(
     check_sizes(k, n)
     check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
     for word in _cycle_words(frozenset(range(1, k * n + 1)), k):
-        yield KCycleFactorization(k, stanley_unhat(word))
+        yield _trusted(KCycleFactorization, k=k, perm=stanley_unhat(word))
 
 
 def _cycle_words(remaining: frozenset[int], k: int) -> Iterator[tuple[int, ...]]:

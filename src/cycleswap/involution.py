@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .forward import _factor_word
 from .gsg import GsgElement
 from .inverse import _unfactor_word
-from .permutations import Permutation, stanley_hat, stanley_unhat
+from .permutations import Permutation, _trusted, stanley_hat, stanley_unhat
 
 
 @dataclass(frozen=True)
@@ -40,4 +40,6 @@ def involute(pair: InvolutionPair) -> InvolutionPair:
     k = pair.sigma.k
     delta_word, x, tau_hat = _factor_word(stanley_hat(pair.pi), k)
     word, _ = _unfactor_word(delta_word, pair.sigma.x, stanley_hat(pair.sigma.tau), k)
-    return InvolutionPair(GsgElement(k, x, stanley_unhat(tau_hat)), stanley_unhat(word))
+    # The kernel reduces x mod k; the sizes agree by construction.
+    sigma = _trusted(GsgElement, k=k, x=x, tau=stanley_unhat(tau_hat))
+    return _trusted(InvolutionPair, sigma=sigma, pi=stanley_unhat(word))

@@ -1,20 +1,18 @@
-"""Permutations of {1..m} in one-line form, canonical cycle notation, and
-the fundamental bijection between permutations and words.
+"""Permutations of {1..m} (1-based) in one-line form, canonical cycle
+notation, and the hat map: it writes a permutation in canonical cycle
+notation (largest letter first in each cycle, cycles by increasing first
+letter) without parentheses, a word listing each of {1..m} once; its
+inverse cuts the word before each left-to-right maximum.
 
-All positions and letters are 1-based.  A "word" is a sequence listing each
-of {1..m} exactly once; the hat map sends a permutation to the word obtained
-by writing it in canonical cycle notation (largest letter first in each
-cycle, cycles ordered by increasing first letter) and dropping the
-parentheses.  The inverse cuts the word before each left-to-right maximum.
-
-A :class:`Permutation` is its one-line images and nothing else: equality,
-hashing, ``repr`` and pickling see only ``images``.  The cycle-notation
-parser already holds the hat word of what it parses, so it builds its
-result with :func:`_with_hat`, which keeps that word beside the images
-for :func:`stanley_hat` to return.  Every other permutation, the outputs
-of :func:`stanley_unhat` included, carries no word: :func:`stanley_hat`
-walks its cycles on each call and keeps nothing, because a caller may hold
-many outputs at once and a stored word would double the memory each takes.
+A :class:`Permutation` is its one-line images: equality, hashing, ``repr``
+and pickling see nothing else.  Each object of this package is checked
+once, in O(m), where its representation is born, and never again: by a
+public constructor; by :func:`stanley_unhat`, on its word; by a text
+parser, on the letters it read; or by construction, in enumerations and
+for the kernels' x.  :func:`_trusted` then builds it.  Only the cycle
+parser's result keeps its hat word, for :func:`stanley_hat`; the others
+walk their cycles, as keeping the word saved no time and raised peak
+memory by 5-7 % on the text-to-text involution benchmark.
 """
 
 from __future__ import annotations
@@ -56,8 +54,7 @@ class Permutation:
     """
 
     images: tuple[int, ...]
-    # The hat word, when whoever built this permutation already had it
-    # (see _with_hat); a class attribute, not a field.
+    # The hat word, if its builder had it (see _trusted); not a field.
     _hat = None
 
     def __post_init__(self):
@@ -81,7 +78,7 @@ class Permutation:
 
     @staticmethod
     def identity(m: int) -> "Permutation":
-        return Permutation(tuple(range(1, m + 1)))
+        return _trusted(Permutation, images=tuple(range(1, m + 1)))
 
     @staticmethod
     def from_cycles(cycles: Sequence[Sequence[int]], m: int) -> "Permutation":
@@ -99,7 +96,7 @@ class Permutation:
                     raise ValueError(f"letter {a} outside 1..{m}")
                 seen.add(a)
                 images[a - 1] = b
-        return Permutation(tuple(images))
+        return _trusted(Permutation, images=tuple(images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles in canonical form: each cycle starts with its
@@ -127,12 +124,12 @@ def _canonical_cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _with_hat(images: tuple[int, ...], word: tuple[int, ...]) -> Permutation:
-    """``Permutation(images)`` that keeps ``word``, which must be its hat
-    word, for :func:`stanley_hat`."""
-    p = Permutation(images)
-    object.__setattr__(p, "_hat", word)
-    return p
+def _trusted(cls, **fields):
+    """``cls(**fields)``, fields in declaration order, without the check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():  # as __init__ does: no __dict__ built
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def stanley_hat(p: Permutation) -> tuple[int, ...]:
@@ -159,18 +156,23 @@ def stanley_unhat(word: Sequence[int]) -> Permutation:
     left-to-right maximum and read the pieces as cycles."""
     word = tuple(word)
     m = len(word)
-    if sorted(word) != list(range(1, m + 1)):
+    if set(word) != set(range(1, m + 1)):
         raise ValueError(f"not a word on 1..{m}: {word}")
-    images = [0] * m
-    # Each letter maps to the next one, or, when that is a new record, back
-    # to the record that opened its cycle; m + 1 closes the last cycle.
+    return _trusted(Permutation, images=_unhat(word))
+
+
+def _unhat(word: tuple[int, ...]) -> tuple[int, ...]:
+    # The images of the permutation whose hat word is ``word``: each letter
+    # maps to the next one, or, when that is a new record, back to the
+    # record that opened its cycle; m + 1 closes the last cycle.
+    images = [0] * len(word)
     first = top = word[0] if word else 0
-    for a, b in zip(word, word[1:] + (m + 1,)):
+    for a, b in zip(word, word[1:] + (len(word) + 1,)):
         if b > top:
             images[a - 1], first, top = first, b, b
         else:
             images[a - 1] = b
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def _hat_cycles(word: Sequence[int], length: int) -> list[int]:
@@ -208,5 +210,5 @@ def enumerate_permutations(m: int, limit: int | None = None) -> Iterator[Permuta
         raise ValueError("m must be nonnegative")
     check_capacity(factorial(m), limit, f"S_{m}")
     for images in itertools.permutations(range(1, m + 1)):
-        yield Permutation(images)
+        yield _trusted(Permutation, images=images)
 

@@ -22,7 +22,7 @@ import itertools
 from typing import Callable, Sequence
 
 from .gsg import GsgElement
-from .permutations import Permutation, _with_hat, stanley_hat
+from .permutations import Permutation, _trusted, _unhat, stanley_hat
 
 
 class ParseError(ValueError):
@@ -56,7 +56,7 @@ def _parse_oneline(text: str, m: int, offset: int) -> Permutation:
     if len(images) != m:
         raise ParseError(f"expected {m} entries, got {len(images)}", offset + len(text))
     _check_letters(images, m, lambda: _entry_positions(text.split(","), offset))
-    return Permutation(images)
+    return _trusted(Permutation, images=images)
 
 
 def _read_entries(text: str, offset: int) -> tuple[int, ...]:
@@ -98,11 +98,6 @@ def _parse_cycles(text: str, m: int, offset: int) -> Permutation:
         raise
     letters = list(itertools.chain.from_iterable(cycles))
     _check_letters(letters, m, lambda: _cycle_positions(text, offset))
-    # Each written letter maps to the next one in its cycle; the others are
-    # fixed.
-    images = list(range(1, m + 1))
-    for a, b in zip(letters, itertools.chain.from_iterable(c[1:] + c[:1] for c in cycles)):
-        images[a - 1] = b
     # The hat word: each cycle from its largest letter, the letters left
     # out as 1-cycles, in increasing order of first letter.
     for i, c in enumerate(cycles):
@@ -110,7 +105,8 @@ def _parse_cycles(text: str, m: int, offset: int) -> Permutation:
         cycles[i] = c[top:] + c[:top]
     cycles += [[v] for v in set(range(1, m + 1)).difference(letters)]
     cycles.sort()  # by first letter, as no two cycles share one
-    return _with_hat(tuple(images), tuple(itertools.chain.from_iterable(cycles)))
+    word = tuple(itertools.chain.from_iterable(cycles))
+    return _trusted(Permutation, images=_unhat(word), _hat=word)
 
 
 def _cycle_letters(piece: str) -> list[int]:

@@ -1,6 +1,6 @@
 import pytest
 
-from cycleswap import cli
+from cycleswap import harness, permutations
 from cycleswap.cli import main
 
 PI_TEXT = "(8 3 4 5)(9)(11 1 10)(15 7 2 6 12 14 13)"
@@ -181,21 +181,23 @@ def test_bad_sizes_from_input_file(tmp_path, capsys):
     assert "--k must be at least 1" in err
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    # The stub records the jobs it is given and counts serially, so no
-    # worker process starts.
-    seen = []
-    real = cli.k_cycle_distribution
+def test_force_lifts_every_capacity(monkeypatch, capsys):
+    monkeypatch.setattr(permutations, "DEFAULT_CAPACITY", 10)
+    monkeypatch.setattr(harness, "DEFAULT_PAIR_CAPACITY", 10)
+    for command in (("table",), ("verify", "--which", "all")):
+        argv = (*command, "--k", "2", "--n", "2")
+        assert run(capsys, *argv)[0] == 3
+        assert run(capsys, *argv, "--force")[0] == 0
 
-    def record(k, n, limit=None, jobs=1):
-        seen.append(jobs)
-        return real(k, n, limit=limit, jobs=1)
 
-    monkeypatch.setattr(cli, "k_cycle_distribution", record)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    code, _, _ = run(capsys, "table", "--k", "2", "--n", "2", "--jobs", "64")
+def test_jobs_clamped_to_cpu_count(monkeypatch, capsys, in_process_pool):
+    # The pool counts in this process, so no worker starts; 8! words is a
+    # census large enough to be split.
+    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "table", "--k", "2", "--n", "4", "--jobs", "64", "--format", "structured")
     assert code == 0
-    assert seen == [2]
+    assert in_process_pool[0] == 2
+    assert "cyc_total=40320" in out
 
 
 def test_bad_residue_is_parse_error(capsys):

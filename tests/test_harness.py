@@ -19,7 +19,7 @@ from cycleswap.harness import (
     verify_involution,
 )
 from cycleswap.gsg import count_fixed_points, enumerate_gsg
-from cycleswap.inverse import _cycle_words, count_k_cycle_factorizations
+from cycleswap.inverse import count_k_cycle_factorizations
 from cycleswap.permutations import CapacityError, _hat_cycles, stanley_unhat
 
 
@@ -171,10 +171,30 @@ def test_identity_arithmetic_spot_check():
     assert cyc.counts[0] * 48 == fxpt.counts[0] * 720 == 20880
 
 
-def test_parallel_counts_match_serial():
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_parallel_counts_match_serial(monkeypatch):
+    # 6! words is below the pool threshold: every jobs count runs serially.
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _no_pool)
     serial = k_cycle_distribution(2, 3, jobs=1)
     for jobs in (2, 3, 5):
         assert k_cycle_distribution(2, 3, jobs=jobs).counts == serial.counts
+
+
+def test_parallel_census_merges_the_worker_ranges(monkeypatch, in_process_pool):
+    # 8! words reaches the threshold, so the census is split; jobs is capped
+    # at the CPU count, and the ranges, counted in this process, are merged.
+    assert factorial(8) >= harness._POOL_MIN > factorial(7)
+    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 3)
+    assert k_cycle_distribution(2, 4, jobs=5).counts == _exact_cyc_counts(2, 4)
+    third = factorial(8) // 3
+    assert in_process_pool == [3, [(2, 4, 0, third), (2, 4, third, 2 * third), (2, 4, 2 * third, 3 * third)]]
+    in_process_pool.clear()
+    monkeypatch.setattr(harness, "_POOL_MIN", factorial(8) + 1)
+    assert k_cycle_distribution(2, 4, jobs=5).counts == _exact_cyc_counts(2, 4)
+    assert in_process_pool == []
 
 
 @pytest.mark.parametrize("k,n", [(1, 6), (2, 3), (3, 2)])
@@ -182,10 +202,7 @@ def test_rank_ranges_match_full_count(monkeypatch, k, n):
     # Ragged [start, stop) ranges, within one first-letter block and across
     # several, counted in this process: no pool may start.  The range holds
     # the words of those ranks, each read as a hat word.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _no_pool)
     cuts = [0, 3, 5, 119, 240, 250, 600, 719, 720]
     every = list(itertools.permutations(range(1, k * n + 1)))
     total = [0] * (n + 1)
@@ -349,7 +366,7 @@ def _naive_verify_bijection(k, n):
     report.record("left_inverse", True)
     sigmas = harness._gsg_words(k, n, None)
     n_delta = 0
-    for delta in _cycle_words(frozenset(range(1, k * n + 1)), k):
+    for delta in harness._cycle_words(frozenset(range(1, k * n + 1)), k):
         n_delta += 1
         for x, tau_hat in sigmas:
             out = harness._unfactor_word(delta, x, tau_hat, k)[0]
@@ -419,10 +436,18 @@ def _relabel_delta(monkeypatch, target, k):
     monkeypatch.setattr(harness, "_unfactor_word", relabelled)
 
 
+def _drop_delta(monkeypatch):
+    # The enumeration of delta's hat words skips its first one; the kernels
+    # stay right, so every pi and every listed (delta, sigma) round-trips.
+    real = harness._cycle_words
+    monkeypatch.setattr(harness, "_cycle_words",
+                        lambda remaining, k: itertools.islice(real(remaining, k), 1, None))
+
+
 def _kernel_patches(k, n):
     # No patch, then the kernels broken at the identity word (the last patch
     # keeps every pi round-tripping), then the statistic miscounted at x = 0
-    # with tau the identity.
+    # with tau the identity, then one delta missing from the enumeration.
     ident = tuple(range(1, k * n + 1))
     yield lambda mp: None
     if k * n >= 2:
@@ -431,6 +456,23 @@ def _kernel_patches(k, n):
         yield lambda mp: _break_forward_kernel(mp, ident, "delta")
         yield lambda mp: _relabel_delta(mp, ident, k)
     yield lambda mp: _miscount_fixed_points(mp, (0,) * n, tuple(range(1, n + 1)))
+    yield _drop_delta
+
+
+def test_a_missing_delta_fails_the_codomain_and_forces_the_pair_walk(monkeypatch):
+    # With one delta missing, every pi and every listed pair still passes, so
+    # only |D| * k^n * n! = (kn)! can stop verify_involution from passing at
+    # once.  It must walk the pairs instead, which factors every pi again:
+    # more kernel calls than the 4! + 4! of the pass.
+    _drop_delta(monkeypatch)
+    report = verify_bijection(2, 2)
+    assert report.properties["codomain_cardinality"] is False
+    assert report.counterexample == "|D|=2"
+    factor_calls = _count_calls(monkeypatch, "_factor_word")
+    unfactor_calls = _count_calls(monkeypatch, "_unfactor_word")
+    report = verify_involution(2, 2)
+    assert report.passed and report.checked == factorial(4) * 8
+    assert len(factor_calls) + len(unfactor_calls) > factorial(4) + factorial(4)
 
 
 def _sizes(max_m):

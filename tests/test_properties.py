@@ -17,7 +17,7 @@ from cycleswap.forward import (
     standardize,
 )
 from cycleswap.gsg import GsgElement, count_fixed_points
-from cycleswap.inverse import recover_shifts, rotate_left, unfactor
+from cycleswap.inverse import _unfactor_word, recover_shifts, rotate_left, unfactor
 from cycleswap.involution import InvolutionPair, involute
 from cycleswap.permutations import Permutation, count_k_cycles, stanley_hat
 from cycleswap.textio import parse_permutation
@@ -141,6 +141,29 @@ def test_unfactor_round_trip(case):
     assert recover_shifts(delta, sigma) == _reference_shifts(delta, sigma)
     back = factor(unfactor(delta, sigma), delta.k)
     assert (back.delta, back.sigma) == (delta, sigma)
+
+
+def _ungated_unfactor_word(delta_word, x, tau_hat, k):
+    # The inverse kernel without its shortcuts: every block is rotated, even
+    # by 0, and scanned for a letter above every leader to its left.
+    blocks = [delta_word[k * t - k : k * t] for t in tau_hat]
+    before = list(itertools.accumulate((b[0] for b in blocks), max, initial=0))
+    shifts = [0] * len(blocks)
+    g = len(delta_word) + 1
+    for i in range(len(blocks) - 1, -1, -1):
+        start, b = k * i, blocks[i]
+        s = shifts[i] = (x[tau_hat[i] - 1] - (g - start - 1)) % k
+        b = blocks[i] = b[s:] + b[:s]
+        g = next((start + j for j, v in enumerate(b, 1) if v > before[i]), g)
+    return tuple(itertools.chain.from_iterable(blocks)), shifts
+
+
+@examples
+@given(pair_cases())
+def test_unfactor_kernel_matches_the_ungated_pass(case):
+    delta, sigma = case
+    args = (stanley_hat(delta.perm), sigma.x, stanley_hat(sigma.tau), delta.k)
+    assert _unfactor_word(*args) == _ungated_unfactor_word(*args)
 
 
 @examples

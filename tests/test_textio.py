@@ -208,12 +208,15 @@ def test_gsg_residue_error_points_at_the_entry():
 
 
 def test_parsed_permutation_is_an_ordinary_permutation():
-    parsed = parse_permutation("(5 1 4)", 5)
+    # Cycle notation, in any order, and one-line notation.
     plain = Permutation((4, 2, 3, 5, 1))
-    assert parsed == plain and hash(parsed) == hash(plain)
-    assert repr(parsed) == repr(plain)
-    assert pickle.dumps(parsed) == pickle.dumps(plain)
-    assert stanley_hat(parsed) == stanley_hat(plain) == (2, 3, 5, 1, 4)
+    for text in ("(5 1 4)", "(1 4 5)(2)", " 4, 2,3,5 ,1 "):
+        parsed = parse_permutation(text, 5)
+        assert parsed == plain and hash(parsed) == hash(plain)
+        assert repr(parsed) == repr(plain)
+        assert pickle.dumps(parsed) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(parsed)) == plain
+        assert stanley_hat(parsed) == stanley_hat(plain) == (2, 3, 5, 1, 4)
 
 
 def test_gsg_round_trip():
