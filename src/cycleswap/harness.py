@@ -2,9 +2,9 @@
 bijection, and the involution.
 
 All counts are exact Python integers; the distribution identity is checked
-in cross-multiplied form so no rationals or floats ever appear.  Exhaustive
-enumerations are partitionable by lexicographic rank range, so distributions
-can be computed by independent workers and merged by pointwise addition.
+in cross-multiplied form so no rationals or floats ever appear.  The k-cycle
+census splits into lexicographic rank ranges of S_{kn-1}, each word standing
+for the kn words that inserting kn makes of it; worker counts merge by sum.
 
 The exhaustive bijection and involution checks share one kernel pass.  It
 factors and unfactors each permutation once, and runs the kernels on a
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 import time
 from collections import defaultdict
@@ -36,8 +37,8 @@ DEFAULT_PAIR_CAPACITY = 100_000_000
 #: The sampler tabulates a group's statistic by rank only up to 8! elements.
 _TABLE_CAP = 40_320
 
-#: A smaller census runs serially: on 2 cores a pool of 2 breaks even at 8!.
-_POOL_MIN = 40_320
+#: A smaller census runs serially: on 2 cores a pool of 2 breaks even at 9!.
+_POOL_MIN = 3_628_800
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,21 @@ class VerificationReport:
 
 
 def _cyc_counts_range(args: tuple[int, int, int, int]) -> list[int]:
-    # Counts k-cycles over a lexicographic rank range of S_kn.  Each word is
-    # read as a hat word, not as one-line images: the hat map is a bijection,
-    # so the words still list S_kn once and the rank ranges still partition
-    # it, and a hat word shows its cycles as the gaps between its records,
-    # so one scan counts them.  islice skips the ranks before start in C.
+    # Counts k-cycles over the words u[:p] + (kn,) + u[p:], p = 0..kn-1, for u
+    # in a lexicographic rank range of S_{kn-1}: a bijection onto S_kn.  As a
+    # hat word, whose cycles run from each record to the next, that word has
+    # the cycles of u[:p] and one of length kn - p, so one scan of u counts kn
+    # words.  Before u[p], c is the k-cycles u[:p] closed and d where its open
+    # cycle reaches length k.  islice skips the ranks before start in C.
     k, n, start, stop = args
-    counts = [0] * (n + 1)
-    for word in itertools.islice(itertools.permutations(range(1, k * n + 1)), start, stop):
-        counts[len(_hat_cycles(word, k))] += 1
+    last, counts = k * n - k, [0] * (n + 1)
+    for u in itertools.islice(itertools.permutations(range(1, k * n)), start, stop):
+        c, top, d = 0, 0, k
+        for p, letter in enumerate(u):
+            counts[c + (p == d) + (p == last)] += 1
+            if letter > top:
+                c, top, d = c + (p == d), letter, p + k
+        counts[c + (d == k * n - 1) + (k == 1)] += 1
     return counts
 
 
@@ -129,11 +136,14 @@ def k_cycle_distribution(
 ) -> Distribution:
     """counts[m] = number of permutations of {1..kn} with exactly m
     k-cycles, by exhaustive enumeration (optionally partitioned across
-    ``jobs`` processes, at most one per CPU, from ``_POOL_MIN`` items)."""
+    ``jobs`` processes, at most one per usable CPU, from ``_POOL_MIN`` permutations)."""
     check_sizes(k, n)
-    total = factorial(k * n)
-    check_capacity(total, limit, f"S_{k * n}")
-    jobs = min(jobs, multiprocessing.cpu_count()) if total >= _POOL_MIN else 1
+    check_capacity(factorial(k * n), limit, f"S_{k * n}")
+    if n == 0:
+        return Distribution(k, 0, (1,))
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(multiprocessing.cpu_count()))
+    jobs = min(jobs, len(cpus(0))) if factorial(k * n) >= _POOL_MIN else 1
+    total = factorial(k * n - 1)
     if jobs <= 1:
         counts = _cyc_counts_range((k, n, 0, total))
     else:

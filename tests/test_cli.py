@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from cycleswap import harness, permutations
@@ -191,9 +193,10 @@ def test_force_lifts_every_capacity(monkeypatch, capsys):
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch, capsys, in_process_pool):
-    # The pool counts in this process, so no worker starts; 8! words is a
-    # census large enough to be split.
-    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 2)
+    # The pool counts in this process, so no worker starts; with the
+    # threshold lowered, 8! words is a census large enough to be split.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "_POOL_MIN", factorial(8))
     code, out, _ = run(capsys, "table", "--k", "2", "--n", "4", "--jobs", "64", "--format", "structured")
     assert code == 0
     assert in_process_pool[0] == 2

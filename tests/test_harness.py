@@ -115,6 +115,21 @@ def test_distributions_match_naive_oracle(k, n):
 
 
 @pytest.mark.parametrize(
+    "k,n", [(k, n) for k in range(1, 9) for n in range(0, 8 // k + 1)]
+)
+def test_k_cycle_census_matches_per_word_count(k, n):
+    # Inserting kn into each word of S_{kn-1} must reach each word of S_kn
+    # once and read its own k-cycle count, as the per-word counter does.
+    # S_0 has one word, with no cycles, and nothing to insert into.
+    counts = [0] * (n + 1)
+    for word in itertools.permutations(range(1, k * n + 1)):
+        counts[len(_hat_cycles(word, k))] += 1
+    if n:
+        assert harness._cyc_counts_range((k, n, 0, factorial(k * n - 1))) == counts
+    assert k_cycle_distribution(k, n).counts == tuple(counts)
+
+
+@pytest.mark.parametrize(
     "k,n", [(k, n) for k in range(1, 8) for n in range(0, 7 // k + 1)]
 )
 def test_fixed_point_distribution_matches_gsg_enumeration(k, n):
@@ -184,12 +199,18 @@ def test_parallel_counts_match_serial(monkeypatch):
 
 
 def test_parallel_census_merges_the_worker_ranges(monkeypatch, in_process_pool):
-    # 8! words reaches the threshold, so the census is split; jobs is capped
-    # at the CPU count, and the ranges, counted in this process, are merged.
-    assert factorial(8) >= harness._POOL_MIN > factorial(7)
-    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 3)
+    # 10! words reaches the threshold and 9! does not.  Below it no pool
+    # starts; from it the census is split into (kn-1)!/jobs ranges of
+    # S_{kn-1}, jobs is capped at the CPUs this process may run on, not at
+    # the host's count, and the ranges, counted in this process, are merged.
+    assert factorial(10) >= harness._POOL_MIN > factorial(9)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 64)
+    assert k_cycle_distribution(3, 3, jobs=5).counts == _exact_cyc_counts(3, 3)
+    assert in_process_pool == []
+    monkeypatch.setattr(harness, "_POOL_MIN", factorial(8))
     assert k_cycle_distribution(2, 4, jobs=5).counts == _exact_cyc_counts(2, 4)
-    third = factorial(8) // 3
+    third = factorial(7) // 3
     assert in_process_pool == [3, [(2, 4, 0, third), (2, 4, third, 2 * third), (2, 4, 2 * third, 3 * third)]]
     in_process_pool.clear()
     monkeypatch.setattr(harness, "_POOL_MIN", factorial(8) + 1)
@@ -197,24 +218,37 @@ def test_parallel_census_merges_the_worker_ranges(monkeypatch, in_process_pool):
     assert in_process_pool == []
 
 
+def test_census_workers_capped_at_cpu_count_without_affinity(monkeypatch, in_process_pool):
+    # Where the platform has no sched_getaffinity, the CPU count caps jobs.
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_POOL_MIN", factorial(8))
+    assert k_cycle_distribution(2, 4, jobs=5).counts == _exact_cyc_counts(2, 4)
+    assert in_process_pool[0] == 2
+
+
 @pytest.mark.parametrize("k,n", [(1, 6), (2, 3), (3, 2)])
 def test_rank_ranges_match_full_count(monkeypatch, k, n):
-    # Ragged [start, stop) ranges, within one first-letter block and across
-    # several, counted in this process: no pool may start.  The range holds
-    # the words of those ranks, each read as a hat word.
+    # Ragged [start, stop) ranges of S_{kn-1}, within one first-letter block
+    # and across several, counted in this process: no pool may start.  The
+    # range holds the words that inserting kn at each place makes of the
+    # words of those ranks, each read as a hat word.
     monkeypatch.setattr(harness.multiprocessing, "Pool", _no_pool)
-    cuts = [0, 3, 5, 119, 240, 250, 600, 719, 720]
-    every = list(itertools.permutations(range(1, k * n + 1)))
+    cuts = [0, 3, 5, 23, 48, 50, 100, 119, 120]
+    m = k * n
+    every = list(itertools.permutations(range(1, m)))
     total = [0] * (n + 1)
     for start, stop in zip(cuts, cuts[1:]):
         part = harness._cyc_counts_range((k, n, start, stop))
         expected = [0] * (n + 1)
-        for word in every[start:stop]:
-            expected[_naive_cycle_lengths(_naive_unhat(word)).count(k)] += 1
+        for u in every[start:stop]:
+            for p in range(m):
+                word = u[:p] + (m,) + u[p:]
+                expected[_naive_cycle_lengths(_naive_unhat(word)).count(k)] += 1
         assert part == expected, (start, stop)
         total = [a + b for a, b in zip(total, part)]
     assert tuple(total) == k_cycle_distribution(k, n).counts
-    assert harness._cyc_counts_range((k, n, 250, 250)) == [0] * (n + 1)
+    assert harness._cyc_counts_range((k, n, 50, 50)) == [0] * (n + 1)
 
 
 def test_capacity_refusal():
