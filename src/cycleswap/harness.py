@@ -2,9 +2,16 @@
 bijection, and the involution.
 
 All counts are exact Python integers; the distribution identity is checked
-in cross-multiplied form so no rationals or floats ever appear.  The k-cycle
-census splits into lexicographic rank ranges of S_{kn-1}, each word standing
-for the kn words that inserting kn makes of it; worker counts merge by sum.
+in cross-multiplied form so no rationals or floats ever appear.  Both
+censuses enumerate the symmetric group one letter short and insert the
+largest letter.  The k-cycle census splits into lexicographic rank ranges of
+S_{kn-1}, each word standing for the kn words that inserting kn makes of it;
+worker counts merge by sum.  The fixed-point census scans S_{n-1} once, each
+word standing for the n permutations tau that inserting the letter n makes
+of it, and counts the vectors x of each tau by the product rule.  The two
+share no code, so at k = 1 they are independent witnesses of the same law.
+
+The sampler's small tables are these distributions expanded in value order.
 
 The exhaustive bijection and involution checks share one kernel pass.  It
 factors and unfactors each permutation once, and runs the kernels on a
@@ -23,9 +30,9 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import factorial
-from operator import add, eq
-from typing import Callable, Iterator
+from math import comb, factorial
+from operator import eq
+from typing import Callable
 
 from .forward import _factor_word
 from .inverse import _cycle_words, _unfactor_word, count_k_cycle_factorizations
@@ -34,7 +41,7 @@ from .permutations import check_capacity, check_sizes, stanley_unhat, _hat_cycle
 #: Pair-product verification refuses above this many pairs unless overridden.
 DEFAULT_PAIR_CAPACITY = 100_000_000
 
-#: The sampler tabulates a group's statistic by rank only up to 8! elements.
+#: The sampler tabulates a group's statistic only up to 8! elements.
 _TABLE_CAP = 40_320
 
 #: A smaller census runs serially: on 2 cores a pool of 2 breaks even at 9!.
@@ -157,35 +164,34 @@ def k_cycle_distribution(
 
 def fixed_point_distribution(k: int, n: int, limit: int | None = None) -> Distribution:
     """counts[m] = number of elements of Z_k^n x| S_n with exactly m fixed
-    points, by exhaustive enumeration.
+    points, by exhaustive enumeration of S_{n-1} and an exact count of x.
 
-    No element objects are built: (x, tau), 0-based, is encoded as the word
-    w_i = tau(i) + n*x_i, and i is a fixed point exactly when w_i == i."""
+    Element (x, tau) fixes i when tau(i) = i and x_i = 0.  Each tau in S_n
+    comes from one word u of S_{n-1}, 0-based, with the letter n - 1
+    inserted: as a fixed point, or into u's cycle right after some j.  If u
+    has f fixed points, that makes one tau with f + 1, f with f - 1 (j
+    fixed by u) and n - 1 - f with f.  A tau with f fixed points is
+    completed by C(f, m) (k-1)^(f-m) k^(n-f) vectors x with exactly m
+    zeros on its fixed points."""
     check_sizes(k, n)
     check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
-    counts = [0] * (n + 1)
-    for fp in _fixed_point_stats(k, n):
-        counts[fp] += 1
-    return Distribution(k, n, tuple(counts))
-
-
-def _fixed_point_stats(k: int, n: int) -> Iterator[int]:
-    # The fixed-point count of every element of Z_k^n x| S_n, in memory O(n).
-    # Element (x, tau), 0-based, is the word w_i = tau(i) + n*x_i, built as
-    # tau + s with s_i = n*x_i.  Since 0 <= tau(i) < n, w_i == i holds iff
-    # x_i == 0 and tau(i) == i, i.e. iff i is a fixed point.
     if n == 0:
-        yield 0
-        return
-    ident = range(n)
-    shifts = range(0, k * n, n)
-    # product() keeps a tuple of its pool, so the last shift streams from the
-    # range: at n = 1 the pool would otherwise hold all k shifts.
-    for head in itertools.product(shifts, repeat=n - 1):
-        for last in shifts:
-            s = head + (last,)
-            for tau in itertools.permutations(ident):
-                yield sum(map(eq, map(add, tau, s), ident))
+        return Distribution(k, 0, (1,))
+    ident = range(n - 1)
+    words = [0] * n
+    for u in itertools.permutations(ident):
+        words[sum(map(eq, u, ident))] += 1
+    taus = [0] * (n + 1)
+    for f, c in enumerate(words):
+        taus[f + 1] += c
+        taus[f] += (n - 1 - f) * c
+        if f:
+            taus[f - 1] += f * c
+    counts = [
+        sum(taus[f] * comb(f, m) * (k - 1) ** (f - m) * k ** (n - f) for f in range(m, n + 1))
+        for m in range(n + 1)
+    ]
+    return Distribution(k, n, tuple(counts))
 
 
 def verify_distribution_identity(
@@ -352,8 +358,8 @@ def sample_empirical(
     independent uniform draws on each side.  Deterministic per seed.
 
     A side whose group has at most ``trials`` elements, and at most 8!,
-    draws a uniform rank and reads its statistic from a table built in this
-    call; a larger side draws each trial's element cycle by cycle."""
+    draws a uniform entry of a table built in this call from its exact
+    distribution; a larger side draws each trial's element cycle by cycle."""
     check_sizes(k, n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -386,17 +392,21 @@ def _count_cycles(size: int, length: int, keep: int, randrange: Callable[[int], 
     return hits
 
 
+def _value_table(counts: tuple[int, ...]) -> list[int]:
+    # The statistic of every element of a group, in value order: any fixed
+    # order will do, since each trial draws a uniform position.
+    return [m for m, c in enumerate(counts) for _ in range(c)]
+
+
 def _k_cycle_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
-    # Draws the k-cycle count of a uniform element of S_kn.  The table is
-    # indexed by hat-word rank, which the hat bijection makes uniform on S_kn.
+    # Draws the k-cycle count of a uniform element of S_kn.
     if factorial(k * n) <= min(trials, _TABLE_CAP):
-        table = [len(_hat_cycles(w, k)) for w in itertools.permutations(range(1, k * n + 1))]
-        return _table_sampler(table, rng)
+        return _table_sampler(_value_table(k_cycle_distribution(k, n).counts), rng)
     return lambda: _count_cycles(k * n, k, 1, rng.randrange)
 
 
 def _fixed_point_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
     # Fixed points of a uniform (x, tau) in Z_k^n x| S_n: the i with tau(i) = i, x_i = 0.
     if k**n * factorial(n) <= min(trials, _TABLE_CAP):
-        return _table_sampler(list(_fixed_point_stats(k, n)), rng)
+        return _table_sampler(_value_table(fixed_point_distribution(k, n).counts), rng)
     return lambda: _count_cycles(n, 1, k, rng.randrange)

@@ -139,6 +139,47 @@ def test_fixed_point_distribution_matches_gsg_enumeration(k, n):
     assert fixed_point_distribution(k, n).counts == tuple(counts)
 
 
+def _per_element_fxpt_counts(k, n):
+    # Every (x, tau), 0-based, as the word w_i = tau(i) + n*x_i: since
+    # 0 <= tau(i) < n, w_i == i exactly when x_i == 0 and tau(i) == i.
+    counts = [0] * (n + 1)
+    ident = range(n)
+    for x in itertools.product(range(k), repeat=n):
+        for tau in itertools.permutations(ident):
+            counts[sum(tau[i] + n * x[i] == i for i in ident)] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "k,n", [(k, n) for k in range(1, 9) for n in range(0, 8 // k + 1)]
+)
+def test_fixed_point_census_matches_per_element_count(k, n):
+    assert fixed_point_distribution(k, n).counts == _per_element_fxpt_counts(k, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inserting_the_largest_letter_reaches_each_tau_once(n):
+    # Each word u of S_{n-1} and each slot (None: n - 1 as a fixed point;
+    # j: n - 1 right after j in u's cycle) gives one tau in S_n, whose fixed
+    # points the census reads off u's: f + 1, f - 1 when u(j) = j, else f.
+    reached = {}
+    for u in itertools.permutations(range(n - 1)):
+        f = sum(u[i] == i for i in range(n - 1))
+        reached[u + (n - 1,)] = f + 1
+        for j in range(n - 1):
+            tau = list(u) + [u[j]]
+            tau[j] = n - 1
+            assert tuple(tau) not in reached
+            reached[tuple(tau)] = f - 1 if u[j] == j else f
+    assert sorted(reached) == list(itertools.permutations(range(n)))
+    for tau, fixed in reached.items():
+        assert fixed == sum(tau[i] == i for i in range(n)), tau
+    counts = [0] * (n + 1)
+    for fixed in reached.values():
+        counts[fixed] += 1
+    assert fixed_point_distribution(1, n).counts == tuple(counts)
+
+
 def test_k_cycle_distribution_rejects_bad_sizes():
     with pytest.raises(ValueError, match="k must be positive"):
         k_cycle_distribution(0, 3)
