@@ -12,6 +12,10 @@ of it, and counts the vectors x of each tau by the product rule.  The two
 share no code, so at k = 1 they are independent witnesses of the same law.
 
 The sampler's small tables are these distributions expanded in value order.
+It runs all its trials in one loop and draws each uniform integer from
+``getrandbits`` as ``Random.randrange`` does, so a tabulated side costs no
+Python call per trial and a seed gives the histograms that ``randrange``
+would.
 
 The exhaustive bijection and involution checks share one kernel pass.  It
 factors and unfactors each permutation once, and runs the kernels on a
@@ -359,54 +363,94 @@ def sample_empirical(
 
     A side whose group has at most ``trials`` elements, and at most 8!,
     draws a uniform entry of a table built in this call from its exact
-    distribution; a larger side draws each trial's element cycle by cycle."""
+    distribution; a larger side draws each trial's element cycle by cycle.
+    Each trial draws the cycle side, then the fixed-point side.  Every draw
+    is an exactly uniform integer below a size, made from ``getrandbits`` as
+    ``Random.randrange`` makes it (see :func:`_uniform_below`), so a seed
+    gives the histograms that ``randrange`` draws in that order would.  A
+    tabulated side costs no Python call per trial; a cycle-by-cycle side
+    costs one call per trial and one per cycle drawn."""
     check_sizes(k, n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    draw_cyc = _k_cycle_sampler(k, n, trials, rng)
-    draw_fxpt = _fixed_point_sampler(k, n, trials, rng)
+    getrandbits = random.Random(seed).getrandbits
+    below = _uniform_below(getrandbits)
+    cyc_table, fxpt_table = _tables(k, n, trials)
+    if cyc_table is not None:
+        cyc_size, cyc_bits = len(cyc_table), len(cyc_table).bit_length()
+    if fxpt_table is not None:
+        fxpt_size, fxpt_bits = len(fxpt_table), len(fxpt_table).bit_length()
     cyc_counts, fxpt_counts = [0] * (n + 1), [0] * (n + 1)
     for _ in range(trials):
-        cyc_counts[draw_cyc()] += 1
-        fxpt_counts[draw_fxpt()] += 1
+        if cyc_table is None:
+            cyc_counts[_count_cycles(k * n, k, 1, below)] += 1
+        else:
+            r = getrandbits(cyc_bits)
+            while r >= cyc_size:
+                r = getrandbits(cyc_bits)
+            cyc_counts[cyc_table[r]] += 1
+        if fxpt_table is None:
+            fxpt_counts[_count_cycles(n, 1, k, below)] += 1
+        else:
+            r = getrandbits(fxpt_bits)
+            while r >= fxpt_size:
+                r = getrandbits(fxpt_bits)
+            fxpt_counts[fxpt_table[r]] += 1
     return tuple(cyc_counts), tuple(fxpt_counts)
 
 
-def _table_sampler(table: list[int], rng: random.Random) -> Callable[[], int]:
-    randrange, size = rng.randrange, len(table)
-    return lambda: table[randrange(size)]
+def _uniform_below(getrandbits: Callable[[int], int]) -> Callable[[int], int]:
+    # below(size) is uniform on 0..size-1 for size >= 1, drawn as
+    # Random.randrange(size) draws it (CPython 3.10 and 3.11): getrandbits of
+    # size's bit length until the result is below size.  Exact, with no float,
+    # and the same bits consumed as randrange would.
+    def below(size: int) -> int:
+        bits = size.bit_length()
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        return r
+
+    return below
 
 
-def _count_cycles(size: int, length: int, keep: int, randrange: Callable[[int], int]) -> int:
+def _count_cycles(size: int, length: int, keep: int, below: Callable[[int], int]) -> int:
     # Cycles of the given length of a uniform element of S_size, each counted
     # with probability 1/keep, drawn cycle by cycle: its hat word is a uniform
     # word whose last cycle starts at the largest letter, so that cycle's length
     # is uniform on 1..size, and the letters before it are a uniform word.
     hits = 0
     while size:
-        cycle = randrange(size) + 1
+        cycle = below(size) + 1
         if cycle == length:
-            hits += randrange(keep) == 0
+            hits += below(keep) == 0
         size -= cycle
     return hits
 
 
-def _value_table(counts: tuple[int, ...]) -> list[int]:
-    # The statistic of every element of a group, in value order: any fixed
-    # order will do, since each trial draws a uniform position.
-    return [m for m, c in enumerate(counts) for _ in range(c)]
+def _tables(k: int, n: int, trials: int) -> tuple[list[int] | None, list[int] | None]:
+    # The value tables of the cycle side, S_kn, and of the fixed-point side,
+    # Z_k^n x| S_n: each side's statistic on every element of its group, in
+    # value order (any fixed order will do, since each trial draws a uniform
+    # position), or None for a group above min(trials, 8!).  The orders are
+    # the products 1*2*...*kn and k*2k*...*nk; each is multiplied out only
+    # until it passes the cap, so a huge group costs no huge factorial.
+    cap = min(trials, _TABLE_CAP)
+    return tuple(
+        [m for m, c in enumerate(distribution(k, n).counts) for _ in range(c)]
+        if _product_at_most(factors, cap) else None
+        for distribution, factors in (
+            (k_cycle_distribution, range(1, k * n + 1)),
+            (fixed_point_distribution, range(k, k * n + 1, k)),
+        )
+    )
 
 
-def _k_cycle_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
-    # Draws the k-cycle count of a uniform element of S_kn.
-    if factorial(k * n) <= min(trials, _TABLE_CAP):
-        return _table_sampler(_value_table(k_cycle_distribution(k, n).counts), rng)
-    return lambda: _count_cycles(k * n, k, 1, rng.randrange)
-
-
-def _fixed_point_sampler(k: int, n: int, trials: int, rng: random.Random) -> Callable[[], int]:
-    # Fixed points of a uniform (x, tau) in Z_k^n x| S_n: the i with tau(i) = i, x_i = 0.
-    if k**n * factorial(n) <= min(trials, _TABLE_CAP):
-        return _table_sampler(_value_table(fixed_point_distribution(k, n).counts), rng)
-    return lambda: _count_cycles(n, 1, k, rng.randrange)
+def _product_at_most(factors: range, cap: int) -> bool:
+    # Whether the product of factors, each at least 1, is at most cap.
+    product = 1
+    for f in factors:
+        if product > cap:
+            return False
+        product *= f
+    return product <= cap

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .forward import FactoredPair, KCycleFactorization
 from .gsg import GsgElement
 from .permutations import Permutation, _trusted, check_capacity, check_sizes
-from .permutations import stanley_hat, stanley_unhat
+from .permutations import _unhat, stanley_hat, stanley_unhat
 
 
 def rotate_left(piece: Sequence[int], s: int) -> tuple[int, ...]:
@@ -88,7 +88,8 @@ def enumerate_k_cycle_factorizations(
     check_sizes(k, n)
     check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
     for word in _cycle_words(frozenset(range(1, k * n + 1)), k):
-        yield _trusted(KCycleFactorization, k=k, perm=stanley_unhat(word))
+        perm = _trusted(Permutation, images=_unhat(word), _hat=word)
+        yield _trusted(KCycleFactorization, k=k, perm=perm)
 
 
 def _cycle_words(remaining: frozenset[int], k: int) -> Iterator[tuple[int, ...]]:

@@ -10,9 +10,10 @@ once, in O(m), where its representation is born, and never again: by a
 public constructor; by :func:`stanley_unhat`, on its word; by a text
 parser, on the letters it read; or by construction, in enumerations and
 for the kernels' x.  :func:`_trusted` then builds it.  Only the cycle
-parser's result keeps its hat word, for :func:`stanley_hat`; the others
-walk their cycles, as keeping the word saved no time and raised peak
-memory by 5-7 % on the text-to-text involution benchmark.
+parser's result and each enumerated k-cycle factorization keep their hat
+word, for :func:`stanley_hat`; the others walk their cycles, as keeping the
+word saved no time and raised peak memory by 5-7 % on the text-to-text
+involution benchmark.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ def check_capacity(count: int, limit: int | None, what: str) -> None:
     if limit is None:
         limit = DEFAULT_CAPACITY
     if count > limit:
-        raise CapacityError(f"{what}: {count} items exceeds capacity {limit}")
+        try:
+            text = str(count)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            text = f"at least 2^{count.bit_length() - 1}"
+        raise CapacityError(f"{what}: {text} items exceeds capacity {limit}")
 
 
 def check_sizes(k: int, n: int) -> None:

@@ -1,3 +1,4 @@
+import re
 from math import factorial
 
 import pytest
@@ -150,6 +151,24 @@ def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, "table", "--k", "2", "--n", "7")
     assert code == 3
     assert "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("table", "--k", "2", "--n", "800"), "S_1600"),
+        (("verify", "--k", "2", "--n", "800"), "S_1600"),
+        (("verify", "--k", "1", "--n", "1600", "--which", "involution"), "S(1,1600) x S_1600"),
+    ],
+)
+def test_capacity_refusal_past_the_digit_limit(capsys, argv, what):
+    # (1600!)-sized counts have more digits than Python converts to text by
+    # default; the refusal still exits 3 and names a bound on the count.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(
+        rf"capacity refused: {re.escape(what)}: (\d+|at least 2\^\d+) items exceeds capacity \d+\n", err
+    )
 
 
 def test_usage_error_from_argparse():

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -612,13 +613,14 @@ def test_sample_concentrates():
 
 def _spy_tables(monkeypatch):
     sizes = []
-    real = harness._table_sampler
+    real = harness._tables
 
-    def spy(table, rng):
-        sizes.append(len(table))
-        return real(table, rng)
+    def spy(k, n, trials):
+        tables = real(k, n, trials)
+        sizes.extend(len(table) for table in tables if table is not None)
+        return tables
 
-    monkeypatch.setattr(harness, "_table_sampler", spy)
+    monkeypatch.setattr(harness, "_tables", spy)
     return sizes
 
 
@@ -650,13 +652,77 @@ def test_sampler_table_cap_overrides_trials(monkeypatch):
     # With the cap lowered to 100, |S_6| = 720 must be drawn cycle by cycle
     # however many trials are asked for, while |S(2,3)| = 48 is still tabulated.
     monkeypatch.setattr(harness, "_TABLE_CAP", 100)
+    cyc_table, fxpt_table = harness._tables(2, 3, 10**12)
+    assert cyc_table is None
+    assert fxpt_table == [m for m, c in enumerate(_exact_fxpt_counts(2, 3)) for _ in range(c)]
+
+
+def test_sampler_gate_builds_no_huge_group_order(monkeypatch):
+    # Whether a side is tabulated is decided without a group order past 8!:
+    # at kn = 300000, factorial(kn) alone took seconds.
+    real = harness.factorial
+
+    def bounded(m):
+        assert m <= 8, f"factorial({m})"
+        return real(m)
+
+    monkeypatch.setattr(harness, "factorial", bounded)
     sizes = _spy_tables(monkeypatch)
-    rng = random.Random(0)
-    harness._k_cycle_sampler(2, 3, 10**12, rng)
-    assert sizes == []
-    draw = harness._fixed_point_sampler(2, 3, 10**12, rng)
-    assert sizes == [48]
-    assert 0 <= draw() <= 3
+    for k, n, trials in ((2, 150_000, 1), (1, 10**6, 3), (2, 4, 40_320)):
+        cyc, fxpt = sample_empirical(k, n, trials, seed=0)
+        assert sum(cyc) == sum(fxpt) == trials
+    assert sizes == [40_320, 384]
+
+
+def _reference_sample(k, n, trials, seed):
+    # The sampler as it was before its trials were drawn in one loop: one
+    # closure call per draw, each calling Random.randrange.  The loop must
+    # give exactly its histograms.
+    rng = random.Random(seed)
+
+    def count_cycles(size, length, keep):
+        hits = 0
+        while size:
+            cycle = rng.randrange(size) + 1
+            if cycle == length:
+                hits += rng.randrange(keep) == 0
+            size -= cycle
+        return hits
+
+    def sampler(order, distribution, size, length, keep):
+        if order <= min(trials, harness._TABLE_CAP):
+            table = [m for m, c in enumerate(distribution(k, n).counts) for _ in range(c)]
+            return lambda: table[rng.randrange(len(table))]
+        return lambda: count_cycles(size, length, keep)
+
+    draw_cyc = sampler(factorial(k * n), k_cycle_distribution, k * n, k, 1)
+    draw_fxpt = sampler(k**n * factorial(n), fixed_point_distribution, n, 1, k)
+    cyc_counts, fxpt_counts = [0] * (n + 1), [0] * (n + 1)
+    for _ in range(trials):
+        cyc_counts[draw_cyc()] += 1
+        fxpt_counts[draw_fxpt()] += 1
+    return tuple(cyc_counts), tuple(fxpt_counts)
+
+
+@pytest.mark.parametrize(
+    "k,n,trials",
+    [
+        (2, 3, 20_000), (2, 3, 1), (2, 4, 20_000), (3, 3, 20_000),
+        (2, 7, 3_000), (4, 50, 1_000), (1, 0, 50), (5, 1, 7),
+    ],
+)
+def test_sampler_matches_the_randrange_reference(k, n, trials):
+    for seed in range(5):
+        assert sample_empirical(k, n, trials, seed) == _reference_sample(k, n, trials, seed)
+
+
+def test_uniform_below_draws_as_randrange():
+    # The same integers from the same seed, so no seeded histogram moves.
+    mine, theirs = random.Random(9), random.Random(9)
+    below = harness._uniform_below(mine.getrandbits)
+    sizes = [1, 2, 3, 5, 48, 720, 40_320, 2**40 + 1, 10**30] * 50
+    assert [below(size) for size in sizes] == [theirs.randrange(size) for size in sizes]
+    assert mine.getstate() == theirs.getstate()
 
 
 class _EveryChoice:
@@ -676,15 +742,15 @@ class _EveryChoice:
         return choice
 
 
-def _law(draw, rng, n):
+def _law(draw, rng):
     # Runs draw once for every sequence of choices, depth-first, and sums
     # each sequence's probability (the product of 1/arity) by value drawn.
-    law = [Fraction(0)] * (n + 1)
+    law = defaultdict(Fraction)
     while True:
         rng.depth = 0
         value = draw()
         assert rng.depth == len(rng.path)
-        law[value] += prod(Fraction(1, arity) for _, arity in rng.path)
+        law[value] += Fraction(1, prod(arity for _, arity in rng.path))
         while rng.path and rng.path[-1][0] + 1 == rng.path[-1][1]:
             rng.path.pop()
         if not rng.path:
@@ -696,15 +762,21 @@ def _law(draw, rng, n):
     "k,n", [(k, n) for k in range(1, 9) for n in range(8 // k + 1)]
 )
 def test_cycle_draws_have_the_exact_law(monkeypatch, k, n):
-    # With no table, both sides draw one element per trial; the law of each
-    # draw, summed over every choice sequence, is exactly the group's.
+    # With no table, a trial draws both sides cycle by cycle; the law of its
+    # two counts, summed over every choice sequence of its draws, is exactly
+    # the product of the two groups' laws.
     monkeypatch.setattr(harness, "_TABLE_CAP", 0)
     rng = _EveryChoice()
-    cyc = _law(harness._k_cycle_sampler(k, n, 1, rng), rng, n)
-    assert cyc == [Fraction(c, factorial(k * n)) for c in _exact_cyc_counts(k, n)]
-    rng = _EveryChoice()
-    fxpt = _law(harness._fixed_point_sampler(k, n, 1, rng), rng, n)
-    assert fxpt == [Fraction(c, k**n * factorial(n)) for c in _exact_fxpt_counts(k, n)]
+    monkeypatch.setattr(harness, "_uniform_below", lambda getrandbits: rng.randrange)
+
+    def trial():
+        cyc, fxpt = sample_empirical(k, n, 1, seed=0)
+        return cyc.index(1), fxpt.index(1)
+
+    cyc = [Fraction(c, factorial(k * n)) for c in _exact_cyc_counts(k, n)]
+    fxpt = [Fraction(c, k**n * factorial(n)) for c in _exact_fxpt_counts(k, n)]
+    product = {(a, b): p * q for a, p in enumerate(cyc) for b, q in enumerate(fxpt) if p * q}
+    assert _law(trial, rng) == product
 
 
 def test_sampler_draws_large_groups_without_shuffling(monkeypatch):

@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from cycleswap import permutations
 from cycleswap.forward import KCycleFactorization, block, factor, leader_distance
 from cycleswap.gsg import GsgElement, enumerate_gsg
 from cycleswap.inverse import (
@@ -159,6 +160,19 @@ def test_enumerate_k_cycle_factorizations(k, n):
     assert len(set(deltas)) == len(deltas)
     for delta in deltas:
         assert cycle_type(delta.perm) == (k,) * n
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (3, 2), (4, 1), (2, 0)])
+def test_enumerated_deltas_keep_their_hat_word(monkeypatch, k, n):
+    # unfactor then reads delta's hat word instead of walking its cycles
+    # again for every sigma.
+    want = [stanley_hat(Permutation(d.perm.images)) for d in enumerate_k_cycle_factorizations(k, n)]
+
+    def refuse(images):
+        raise AssertionError("cycles walked")
+
+    monkeypatch.setattr(permutations, "_canonical_cycles", refuse)
+    assert [stanley_hat(d.perm) for d in enumerate_k_cycle_factorizations(k, n)] == want
 
 
 def test_enumerate_k_cycle_factorizations_matches_filter():

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from cycleswap.permutations import (
     CapacityError,
     Permutation,
+    check_capacity,
     count_k_cycles,
     cycle_type,
     enumerate_permutations,
@@ -185,6 +188,21 @@ def test_enumerate_permutations():
 def test_enumerate_capacity():
     with pytest.raises(CapacityError):
         next(enumerate_permutations(4, limit=10))
+
+
+def test_capacity_message_gives_the_count():
+    with pytest.raises(CapacityError, match=r"^S_12: 479001600 items exceeds capacity 400000000$"):
+        check_capacity(factorial(12), None, "S_12")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_capacity_message_bounds_a_count_past_the_digit_limit():
+    # str() refuses an int with more digits than the limit; 2^(bits - 1) is
+    # the largest power of two not above the count.
+    count = 2 ** (4 * sys.get_int_max_str_digits()) + 12345
+    with pytest.raises(CapacityError) as exc:
+        check_capacity(count, 10, "X")
+    assert str(exc.value) == f"X: at least 2^{4 * sys.get_int_max_str_digits()} items exceeds capacity 10"
 
 
 def test_empty_permutation():
