@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator
 
 from .permutations import Permutation, _trusted, check_capacity, check_sizes
@@ -59,7 +58,7 @@ def enumerate_gsg(k: int, n: int, limit: int | None = None) -> Iterator[GsgEleme
     up as a base-k number (last coordinate fastest).
     """
     check_sizes(k, n)
-    check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
+    check_capacity(range(k, k * n + 1, k), limit, f"S({k},{n})")
     for images in itertools.permutations(range(1, n + 1)):
         tau = _trusted(Permutation, images=images)
         for x in itertools.product(range(k), repeat=n):

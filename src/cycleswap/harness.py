@@ -3,13 +3,14 @@ bijection, and the involution.
 
 All counts are exact Python integers; the distribution identity is checked
 in cross-multiplied form so no rationals or floats ever appear.  Both
-censuses enumerate the symmetric group one letter short and insert the
-largest letter.  The k-cycle census splits into lexicographic rank ranges of
-S_{kn-1}, each word standing for the kn words that inserting kn makes of it;
-worker counts merge by sum.  The fixed-point census scans S_{n-1} once, each
-word standing for the n permutations tau that inserting the letter n makes
-of it, and counts the vectors x of each tau by the product rule.  The two
-share no code, so at k = 1 they are independent witnesses of the same law.
+censuses enumerate the symmetric group two letters short and insert the
+two largest letters.  The k-cycle census splits into lexicographic rank
+ranges of S_{kn-2}, each word standing for the kn(kn - 1) words that
+inserting kn - 1 and then kn makes of it; worker counts merge by sum.  The
+fixed-point census scans S_{n-2} once, inserts the letter n - 1 and then n
+into its fixed-point tallies, and counts the vectors x of each tau by the
+product rule.  The two share no code, so at k = 1 they are independent
+witnesses of the same law.
 
 The sampler's small tables are these distributions expanded in value order.
 It runs all its trials in one loop and draws each uniform integer from
@@ -28,7 +29,6 @@ one by one, in enumeration order.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import random
 import time
@@ -39,8 +39,8 @@ from operator import eq
 from typing import Callable
 
 from .forward import _factor_word
-from .inverse import _cycle_words, _unfactor_word, count_k_cycle_factorizations
-from .permutations import check_capacity, check_sizes, stanley_unhat, _hat_cycles
+from .inverse import _cycle_words, _factorization_factors, _unfactor_word, count_k_cycle_factorizations
+from .permutations import _hat_cycles, _product_past, check_capacity, check_sizes, stanley_unhat
 
 #: Pair-product verification refuses above this many pairs unless overridden.
 DEFAULT_PAIR_CAPACITY = 100_000_000
@@ -48,8 +48,9 @@ DEFAULT_PAIR_CAPACITY = 100_000_000
 #: The sampler tabulates a group's statistic only up to 8! elements.
 _TABLE_CAP = 40_320
 
-#: A smaller census runs serially: on 2 cores a pool of 2 breaks even at 9!.
-_POOL_MIN = 3_628_800
+#: A smaller census runs serially: on 2 cores a pool of 2 is slower at 10!
+#: (65-72 ms against 42-53 ms serial) and faster at 11! (0.36 s against 0.50-0.58 s).
+_POOL_MIN = 39_916_800
 
 
 @dataclass(frozen=True)
@@ -124,21 +125,37 @@ class VerificationReport:
 
 
 def _cyc_counts_range(args: tuple[int, int, int, int]) -> list[int]:
-    # Counts k-cycles over the words u[:p] + (kn,) + u[p:], p = 0..kn-1, for u
-    # in a lexicographic rank range of S_{kn-1}: a bijection onto S_kn.  As a
-    # hat word, whose cycles run from each record to the next, that word has
-    # the cycles of u[:p] and one of length kn - p, so one scan of u counts kn
-    # words.  Before u[p], c is the k-cycles u[:p] closed and d where its open
-    # cycle reaches length k.  islice skips the ranks before start in C.
+    # Counts k-cycles over the words of S_m, m = kn, made from each v in a
+    # lexicographic rank range of S_{m-2} by inserting m - 1 at q and then m
+    # at p: a bijection (v, q, p) -> word onto S_m.  Read as a hat word, whose
+    # cycles run from each record to the next, with K(i) the k-cycles of the
+    # prefix v[:i] (its open last piece counted if of length k), that word has
+    # K(p) + [m - p = k] k-cycles if p <= q (m - 1 follows m, so is no record)
+    # and K(q) + [p - q = k] + [m - p = k] if p > q.  So one scan of v, which
+    # tallies K(i) for i = 0..m-2, counts m(m - 1) words, and how many words
+    # each tally stands for, with how many more k-cycles, depends on i alone.
+    # Before v[i], c is the k-cycles v[:i] closed and d where its open cycle
+    # reaches length k.  islice skips the ranks before start in C.
     k, n, start, stop = args
-    last, counts = k * n - k, [0] * (n + 1)
-    for u in itertools.islice(itertools.permutations(range(1, k * n)), start, stop):
+    m = k * n
+    last, tally = m - 2, [[0] * (n + 1) for _ in range(m - 1)]
+    for v in itertools.islice(itertools.permutations(range(1, m - 1)), start, stop):
         c, top, d = 0, 0, k
-        for p, letter in enumerate(u):
-            counts[c + (p == d) + (p == last)] += 1
+        for i, letter in enumerate(v):
+            tally[i][c + (i == d)] += 1
             if letter > top:
-                c, top, d = c + (p == d), letter, p + k
-        counts[c + (d == k * n - 1) + (k == 1)] += 1
+                c, top, d = c + (i == d), letter, i + k
+        tally[last][c + (d == last)] += 1
+    counts = [0] * (n + 1)
+    for i, row in enumerate(tally):
+        more = [0, 0, 0]  # words per tally by their k-cycles beyond K(i)
+        more[m - i == k] += m - 1 - i  # p = i <= q
+        for j in range(1, m - i):  # q = i, p = i + j
+            more[(j == k) + (m - i - j == k)] += 1
+        for c, t in enumerate(row):
+            for e, w in enumerate(more):
+                if t and w:
+                    counts[c + e] += t * w
     return counts
 
 
@@ -149,15 +166,17 @@ def k_cycle_distribution(
     k-cycles, by exhaustive enumeration (optionally partitioned across
     ``jobs`` processes, at most one per usable CPU, from ``_POOL_MIN`` permutations)."""
     check_sizes(k, n)
-    check_capacity(factorial(k * n), limit, f"S_{k * n}")
-    if n == 0:
-        return Distribution(k, 0, (1,))
-    cpus = getattr(os, "sched_getaffinity", lambda pid: range(multiprocessing.cpu_count()))
+    check_capacity(range(1, k * n + 1), limit, f"S_{k * n}")
+    if k * n < 2:  # S_0 or S_1: the identity alone, with n k-cycles
+        return Distribution(k, n, (0,) * n + (1,))
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
     jobs = min(jobs, len(cpus(0))) if factorial(k * n) >= _POOL_MIN else 1
-    total = factorial(k * n - 1)
+    total = factorial(k * n - 2)
     if jobs <= 1:
         counts = _cyc_counts_range((k, n, 0, total))
     else:
+        import multiprocessing  # here: a process that starts no pool is spared its 1 MiB
+
         bounds = [total * j // jobs for j in range(jobs + 1)]
         tasks = [(k, n, a, b) for a, b in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs) as pool:
@@ -168,29 +187,30 @@ def k_cycle_distribution(
 
 def fixed_point_distribution(k: int, n: int, limit: int | None = None) -> Distribution:
     """counts[m] = number of elements of Z_k^n x| S_n with exactly m fixed
-    points, by exhaustive enumeration of S_{n-1} and an exact count of x.
+    points, by exhaustive enumeration of S_{n-2} and an exact count of x.
 
-    Element (x, tau) fixes i when tau(i) = i and x_i = 0.  Each tau in S_n
-    comes from one word u of S_{n-1}, 0-based, with the letter n - 1
+    Element (x, tau) fixes i when tau(i) = i and x_i = 0.  Each tau in S_s
+    comes from one word u of S_{s-1}, 0-based, with the letter s - 1
     inserted: as a fixed point, or into u's cycle right after some j.  If u
     has f fixed points, that makes one tau with f + 1, f with f - 1 (j
-    fixed by u) and n - 1 - f with f.  A tau with f fixed points is
-    completed by C(f, m) (k-1)^(f-m) k^(n-f) vectors x with exactly m
-    zeros on its fixed points."""
+    fixed by u) and s - 1 - f with f.  The census tallies S_{n-2} by fixed
+    points and takes this step at s = n - 1 and at s = n.  A tau with f
+    fixed points is completed by C(f, m) (k-1)^(f-m) k^(n-f) vectors x with
+    exactly m zeros on its fixed points."""
     check_sizes(k, n)
-    check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
-    if n == 0:
-        return Distribution(k, 0, (1,))
-    ident = range(n - 1)
-    words = [0] * n
-    for u in itertools.permutations(ident):
-        words[sum(map(eq, u, ident))] += 1
+    check_capacity(range(k, k * n + 1, k), limit, f"S({k},{n})")
+    base = max(n - 2, 0)  # below n = 2, S_0 and a step at each size up to n
+    ident = range(base)
     taus = [0] * (n + 1)
-    for f, c in enumerate(words):
-        taus[f + 1] += c
-        taus[f] += (n - 1 - f) * c
-        if f:
-            taus[f - 1] += f * c
+    for u in itertools.permutations(ident):
+        taus[sum(map(eq, u, ident))] += 1
+    for s in range(base + 1, n + 1):
+        words, taus = taus, [0] * (n + 1)
+        for f, c in enumerate(words[:s]):
+            taus[f + 1] += c
+            taus[f] += (s - 1 - f) * c
+            if f:
+                taus[f - 1] += f * c
     counts = [
         sum(taus[f] * comb(f, m) * (k - 1) ** (f - m) * k ** (n - f) for f in range(m, n + 1))
         for m in range(n + 1)
@@ -227,7 +247,7 @@ def verify_distribution_identity(
 
 def _gsg_words(k: int, n: int, limit: int | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     # Every (x, tau) in Z_k^n x| S_n, as x and the hat word of tau.
-    check_capacity(k**n * factorial(n), limit, f"S({k},{n})")
+    check_capacity(range(k, k * n + 1, k), limit, f"S({k},{n})")
     xs = list(itertools.product(range(k), repeat=n))
     return [(x, tau) for tau in itertools.permutations(range(1, n + 1)) for x in xs]
 
@@ -243,9 +263,9 @@ def _round_trips(k: int, n: int, limit: int | None):
     # by a pi that factors into it, round-trips and keeps its own, or else by
     # running the kernels on it.  Failures come back in enumeration order.
     check_sizes(k, n)
-    check_capacity(factorial(k * n), limit, f"S_{k * n}")
+    check_capacity(range(1, k * n + 1), limit, f"S_{k * n}")
     sigmas = _gsg_words(k, n, limit)
-    check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
+    check_capacity(_factorization_factors(k, n), limit, f"D_{{{k},{n}}}")
     index = {sigma: i for i, sigma in enumerate(sigmas)}
     rows: defaultdict[tuple[int, ...], bytearray] = defaultdict(lambda: bytearray(len(sigmas)))
     bad_pis = []
@@ -322,10 +342,10 @@ def verify_involution(
     report = VerificationReport("involution", k, n)
     t0 = time.perf_counter()
     check_sizes(k, n)
-    n_pairs = factorial(k * n) * k**n * factorial(n)
     if pair_limit is None:
         pair_limit = DEFAULT_PAIR_CAPACITY
-    check_capacity(n_pairs, pair_limit, f"S({k},{n}) x S_{k * n}")
+    pair_factors = itertools.chain(range(1, k * n + 1), range(k, k * n + 1, k))
+    check_capacity(pair_factors, pair_limit, f"S({k},{n}) x S_{k * n}")
     sigmas, rows, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
     if bad_pis or bad_pairs or n_delta * len(sigmas) != factorial(k * n):
         bad = {word for word, _, _ in bad_pis}
@@ -350,7 +370,7 @@ def verify_involution(
                     report.record("involution", twice, text)
     report.record("statistic_swap", True)
     report.record("involution", True)
-    report.checked = n_pairs
+    report.checked = factorial(k * n) * k**n * factorial(n)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -438,19 +458,10 @@ def _tables(k: int, n: int, trials: int) -> tuple[list[int] | None, list[int] | 
     cap = min(trials, _TABLE_CAP)
     return tuple(
         [m for m, c in enumerate(distribution(k, n).counts) for _ in range(c)]
-        if _product_at_most(factors, cap) else None
+        if _product_past(factors, cap) <= cap else None
         for distribution, factors in (
             (k_cycle_distribution, range(1, k * n + 1)),
             (fixed_point_distribution, range(k, k * n + 1, k)),
         )
     )
 
-
-def _product_at_most(factors: range, cap: int) -> bool:
-    # Whether the product of factors, each at least 1, is at most cap.
-    product = 1
-    for f in factors:
-        if product > cap:
-            return False
-        product *= f
-    return product <= cap

@@ -76,6 +76,12 @@ def count_k_cycle_factorizations(k: int, n: int) -> int:
     return factorial(k * n) // (k**n * factorial(n))
 
 
+def _factorization_factors(k: int, n: int) -> Iterator[int]:
+    # (kn)!/(k^n n!) as a product: (kn)! is the j <= kn that k does not
+    # divide times the multiples k, 2k, ..., nk, whose product is k^n n!.
+    return (j for j in range(1, k * n + 1) if j % k)
+
+
 def enumerate_k_cycle_factorizations(
     k: int, n: int, limit: int | None = None
 ) -> Iterator[KCycleFactorization]:
@@ -86,7 +92,7 @@ def enumerate_k_cycle_factorizations(
     both rotation and cycle-order duplicates.
     """
     check_sizes(k, n)
-    check_capacity(count_k_cycle_factorizations(k, n), limit, f"D_{{{k},{n}}}")
+    check_capacity(_factorization_factors(k, n), limit, f"D_{{{k},{n}}}")
     for word in _cycle_words(frozenset(range(1, k * n + 1)), k):
         perm = _trusted(Permutation, images=_unhat(word), _hat=word)
         yield _trusted(KCycleFactorization, k=k, perm=perm)

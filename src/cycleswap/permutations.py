@@ -19,9 +19,10 @@ involution benchmark.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from math import factorial
-from typing import Iterator, Sequence
+from math import inf
+from typing import Iterable, Iterator, Sequence
 
 #: Exhaustive enumeration refuses to start above this many items unless the
 #: caller raises the limit explicitly.
@@ -32,15 +33,35 @@ class CapacityError(Exception):
     """Requested enumeration would exceed the configured item capacity."""
 
 
-def check_capacity(count: int, limit: int | None, what: str) -> None:
+def check_capacity(factors: Iterable[int], limit: int | None, what: str) -> None:
+    """Refuse a count above ``limit``, the count given as the product of
+    ``factors``, each at least 1.  The factors are multiplied only until the
+    product passes the limit, then, for the message, only until it passes
+    the interpreter's int-to-str digit limit, so a huge group order is never
+    built.  The message gives the count in full, or past that digit limit
+    the largest power of two not above the part multiplied out."""
     if limit is None:
         limit = DEFAULT_CAPACITY
+    factors = iter(factors)
+    count = _product_past(factors, limit)
     if count > limit:
+        digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        count = _product_past(factors, 10**digits - 1 if digits else inf, count)
         try:
             text = str(count)
         except ValueError:  # past the interpreter's int-to-str digit limit
             text = f"at least 2^{count.bit_length() - 1}"
         raise CapacityError(f"{what}: {text} items exceeds capacity {limit}")
+
+
+def _product_past(factors: Iterable[int], bound: float, product: int = 1) -> int:
+    # product times the next factors, each at least 1, until the result
+    # passes bound or they run out: the whole product if it is at most bound.
+    for f in factors:
+        product *= f
+        if product > bound:
+            break
+    return product
 
 
 def check_sizes(k: int, n: int) -> None:
@@ -213,7 +234,7 @@ def enumerate_permutations(m: int, limit: int | None = None) -> Iterator[Permuta
     order.  Raises :class:`CapacityError` if m! exceeds the capacity."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    check_capacity(factorial(m), limit, f"S_{m}")
+    check_capacity(range(1, m + 1), limit, f"S_{m}")
     for images in itertools.permutations(range(1, m + 1)):
         yield _trusted(Permutation, images=images)
 

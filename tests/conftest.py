@@ -1,6 +1,6 @@
-import pytest
+import multiprocessing
 
-from cycleswap import harness
+import pytest
 
 
 @pytest.fixture
@@ -24,5 +24,5 @@ def in_process_pool(monkeypatch):
             log.append(list(tasks))
             return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
     return log

@@ -1,4 +1,6 @@
 import re
+import sys
+import time
 from math import factorial
 
 import pytest
@@ -169,6 +171,25 @@ def test_capacity_refusal_past_the_digit_limit(capsys, argv, what):
     assert re.fullmatch(
         rf"capacity refused: {re.escape(what)}: (\d+|at least 2\^\d+) items exceeds capacity \d+\n", err
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--k", "2", "--n", "150000"),
+        ("verify", "--k", "2", "--n", "150000"),
+        ("verify", "--k", "2", "--n", "150000", "--which", "bijection"),
+        ("verify", "--k", "2", "--n", "150000", "--which", "involution"),
+    ],
+)
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_capacity_refusal_builds_no_group_order(capsys, argv):
+    # (300000)! alone took seconds to multiply out before the refusal.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "at least 2^" in err
+    assert time.perf_counter() - start < 0.5
 
 
 def test_usage_error_from_argparse():

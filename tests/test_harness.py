@@ -1,10 +1,16 @@
 import itertools
+import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +26,8 @@ from cycleswap.harness import (
     verify_involution,
 )
 from cycleswap.gsg import count_fixed_points, enumerate_gsg
-from cycleswap.inverse import count_k_cycle_factorizations
-from cycleswap.permutations import CapacityError, _hat_cycles, stanley_unhat
+from cycleswap.inverse import count_k_cycle_factorizations, enumerate_k_cycle_factorizations
+from cycleswap.permutations import CapacityError, _hat_cycles, enumerate_permutations, stanley_unhat
 
 
 def _naive_cycle_lengths(images):
@@ -40,17 +46,22 @@ def _naive_cycle_lengths(images):
     return lengths
 
 
-def _naive_unhat(word):
-    """0-based one-line images of the permutation whose hat word is the
-    1-based ``word``: cut before each left-to-right maximum, read each
-    piece as a cycle.  Shares no code with the library."""
-    images = [None] * len(word)
+def _naive_pieces(word):
+    """``word`` cut before each left-to-right maximum."""
     pieces = []
     for letter in word:
         if not pieces or letter > max(max(p) for p in pieces):
             pieces.append([])
         pieces[-1].append(letter)
-    for piece in pieces:
+    return pieces
+
+
+def _naive_unhat(word):
+    """0-based one-line images of the permutation whose hat word is the
+    1-based ``word``: cut before each left-to-right maximum, read each
+    piece as a cycle.  Shares no code with the library."""
+    images = [None] * len(word)
+    for piece in _naive_pieces(word):
         for a, b in zip(piece, piece[1:] + piece[:1]):
             images[a - 1] = b - 1
     return tuple(images)
@@ -119,15 +130,66 @@ def test_distributions_match_naive_oracle(k, n):
     "k,n", [(k, n) for k in range(1, 9) for n in range(0, 8 // k + 1)]
 )
 def test_k_cycle_census_matches_per_word_count(k, n):
-    # Inserting kn into each word of S_{kn-1} must reach each word of S_kn
-    # once and read its own k-cycle count, as the per-word counter does.
-    # S_0 has one word, with no cycles, and nothing to insert into.
+    # Each word of S_{kn-2} stands for the words that inserting kn - 1 and
+    # then kn at every (q, p) makes of it; the census must read each one's
+    # own k-cycle count, as the per-word counter does, and so the count of
+    # every word of S_kn.  S_0 and S_1 have nothing two letters short.
+    m = k * n
     counts = [0] * (n + 1)
-    for word in itertools.permutations(range(1, k * n + 1)):
+    for word in itertools.permutations(range(1, m + 1)):
         counts[len(_hat_cycles(word, k))] += 1
-    if n:
-        assert harness._cyc_counts_range((k, n, 0, factorial(k * n - 1))) == counts
+    if m >= 2:
+        inserted = [0] * (n + 1)
+        for word in _insert_two_largest(itertools.permutations(range(1, m - 1)), m):
+            inserted[len(_hat_cycles(word, k))] += 1
+        assert harness._cyc_counts_range((k, n, 0, factorial(m - 2))) == inserted
     assert k_cycle_distribution(k, n).counts == tuple(counts)
+
+
+def _insert_two_largest(words, m):
+    # The words that inserting m - 1 at q and then m at p, for every (q, p),
+    # make of each word of S_{m-2}, in order.
+    for v in words:
+        for q in range(m - 1):
+            w = v[:q] + (m - 1,) + v[q:]
+            for p in range(m):
+                yield w[:p] + (m,) + w[p:]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_inserting_the_two_largest_letters_reaches_each_word_once(m):
+    # (v, q, p) -> word is a bijection from S_{m-2} x {0..m-2} x {0..m-1}
+    # onto S_m, and each word's k-cycle count is the one the census reads
+    # off v's prefixes: K(p) + [m - p = k] if p <= q, else K(q) + [p - q = k]
+    # + [m - p = k], K(i) the k-cycles of v[:i] read as a hat word.
+    words = list(_insert_two_largest(itertools.permutations(range(1, m - 1)), m))
+    assert sorted(words) == list(itertools.permutations(range(1, m + 1)))
+    for k in range(1, m + 1):
+        at = iter(words)
+        for v in itertools.permutations(range(1, m - 1)):
+            K = [[len(p) for p in _naive_pieces(v[:i])].count(k) for i in range(m - 1)]
+            for q in range(m - 1):
+                for p in range(m):
+                    if p <= q:
+                        want = K[p] + (m - p == k)
+                    else:
+                        want = K[q] + (p - q == k) + (m - p == k)
+                    assert len(_hat_cycles(next(at), k)) == want, (v, q, p, k)
+
+
+def test_censuses_at_the_smallest_sizes():
+    # kn and n in {0, 1, 2}: the k-cycle census below S_2 is the identity
+    # alone, and the fixed-point census takes fewer than two insertion steps
+    # below n = 2.
+    assert k_cycle_distribution(4, 0).counts == (1,)
+    assert k_cycle_distribution(1, 1).counts == (0, 1)
+    assert k_cycle_distribution(1, 2).counts == (1, 0, 1)
+    assert k_cycle_distribution(2, 1).counts == (1, 1)
+    assert fixed_point_distribution(3, 0).counts == (1,)
+    assert fixed_point_distribution(1, 1).counts == (0, 1)
+    assert fixed_point_distribution(3, 1).counts == (2, 1)
+    assert fixed_point_distribution(1, 2).counts == (1, 0, 1)
+    assert fixed_point_distribution(2, 2).counts == (5, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -158,27 +220,41 @@ def test_fixed_point_census_matches_per_element_count(k, n):
     assert fixed_point_distribution(k, n).counts == _per_element_fxpt_counts(k, n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_inserting_the_largest_letter_reaches_each_tau_once(n):
-    # Each word u of S_{n-1} and each slot (None: n - 1 as a fixed point;
-    # j: n - 1 right after j in u's cycle) gives one tau in S_n, whose fixed
-    # points the census reads off u's: f + 1, f - 1 when u(j) = j, else f.
-    reached = {}
-    for u in itertools.permutations(range(n - 1)):
-        f = sum(u[i] == i for i in range(n - 1))
-        reached[u + (n - 1,)] = f + 1
-        for j in range(n - 1):
-            tau = list(u) + [u[j]]
-            tau[j] = n - 1
-            assert tuple(tau) not in reached
-            reached[tuple(tau)] = f - 1 if u[j] == j else f
-    assert sorted(reached) == list(itertools.permutations(range(n)))
-    for tau, fixed in reached.items():
-        assert fixed == sum(tau[i] == i for i in range(n)), tau
+def _assert_insertions_reach_each_tau_once(n, base):
+    # From each 0-based word u of S_base, insert the letter s - 1 at each
+    # size s = base + 1..n: as a fixed point, or right after j in u's cycle.
+    # The census reads the fixed points of each tau off u's f: f + 1, f - 1
+    # when u(j) = j, else f.  Each tau of S_n must be reached once, with its
+    # own count.
+    taus = [(u, sum(u[i] == i for i in range(base))) for u in itertools.permutations(range(base))]
+    for s in range(base + 1, n + 1):
+        grown = []
+        for u, f in taus:
+            grown.append((u + (s - 1,), f + 1))
+            for j in range(s - 1):
+                tau = list(u) + [u[j]]
+                tau[j] = s - 1
+                grown.append((tuple(tau), f - 1 if u[j] == j else f))
+        taus = grown
+    assert sorted(tau for tau, _ in taus) == list(itertools.permutations(range(n)))
     counts = [0] * (n + 1)
-    for fixed in reached.values():
+    for tau, fixed in taus:
+        assert fixed == sum(tau[i] == i for i in range(n)), tau
         counts[fixed] += 1
     assert fixed_point_distribution(1, n).counts == tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inserting_the_largest_letter_reaches_each_tau_once(n):
+    # One insertion step, from S_{n-1}: the step the census takes at each size.
+    _assert_insertions_reach_each_tau_once(n, n - 1)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_inserting_two_letters_reaches_each_tau_once(n):
+    # The census's own path: S_{n-2} tallied, then the step at sizes n - 1
+    # and n (below n = 2, from S_0 at each size up to n).
+    _assert_insertions_reach_each_tau_once(n, max(n - 2, 0))
 
 
 def test_k_cycle_distribution_rejects_bad_sizes():
@@ -234,25 +310,25 @@ def _no_pool(*args, **kwargs):
 
 def test_parallel_counts_match_serial(monkeypatch):
     # 6! words is below the pool threshold: every jobs count runs serially.
-    monkeypatch.setattr(harness.multiprocessing, "Pool", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
     serial = k_cycle_distribution(2, 3, jobs=1)
     for jobs in (2, 3, 5):
         assert k_cycle_distribution(2, 3, jobs=jobs).counts == serial.counts
 
 
 def test_parallel_census_merges_the_worker_ranges(monkeypatch, in_process_pool):
-    # 10! words reaches the threshold and 9! does not.  Below it no pool
-    # starts; from it the census is split into (kn-1)!/jobs ranges of
-    # S_{kn-1}, jobs is capped at the CPUs this process may run on, not at
+    # 11! words reaches the threshold and 10! does not.  Below it no pool
+    # starts; from it the census is split into (kn-2)!/jobs ranges of
+    # S_{kn-2}, jobs is capped at the CPUs this process may run on, not at
     # the host's count, and the ranges, counted in this process, are merged.
-    assert factorial(10) >= harness._POOL_MIN > factorial(9)
+    assert factorial(11) >= harness._POOL_MIN > factorial(10)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 64)
-    assert k_cycle_distribution(3, 3, jobs=5).counts == _exact_cyc_counts(3, 3)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    assert k_cycle_distribution(2, 5, jobs=5).counts == _exact_cyc_counts(2, 5)
     assert in_process_pool == []
     monkeypatch.setattr(harness, "_POOL_MIN", factorial(8))
     assert k_cycle_distribution(2, 4, jobs=5).counts == _exact_cyc_counts(2, 4)
-    third = factorial(7) // 3
+    third = factorial(6) // 3
     assert in_process_pool == [3, [(2, 4, 0, third), (2, 4, third, 2 * third), (2, 4, 2 * third, 3 * third)]]
     in_process_pool.clear()
     monkeypatch.setattr(harness, "_POOL_MIN", factorial(8) + 1)
@@ -263,34 +339,47 @@ def test_parallel_census_merges_the_worker_ranges(monkeypatch, in_process_pool):
 def test_census_workers_capped_at_cpu_count_without_affinity(monkeypatch, in_process_pool):
     # Where the platform has no sched_getaffinity, the CPU count caps jobs.
     monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(harness.multiprocessing, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "_POOL_MIN", factorial(8))
     assert k_cycle_distribution(2, 4, jobs=5).counts == _exact_cyc_counts(2, 4)
     assert in_process_pool[0] == 2
 
 
+def test_no_pool_module_is_imported_until_a_pool_starts():
+    # multiprocessing costs a process about 1 MiB; a census below _POOL_MIN,
+    # whatever its jobs, and every other command do without it.
+    code = (
+        "import sys, cycleswap.cli\n"
+        "from cycleswap.harness import k_cycle_distribution\n"
+        "k_cycle_distribution(2, 4, jobs=2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    src = str(Path(harness.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
 @pytest.mark.parametrize("k,n", [(1, 6), (2, 3), (3, 2)])
 def test_rank_ranges_match_full_count(monkeypatch, k, n):
-    # Ragged [start, stop) ranges of S_{kn-1}, within one first-letter block
+    # Ragged [start, stop) ranges of S_{kn-2}, within one first-letter block
     # and across several, counted in this process: no pool may start.  The
-    # range holds the words that inserting kn at each place makes of the
-    # words of those ranks, each read as a hat word.
-    monkeypatch.setattr(harness.multiprocessing, "Pool", _no_pool)
-    cuts = [0, 3, 5, 23, 48, 50, 100, 119, 120]
+    # range holds the words that inserting kn - 1 and then kn at every place
+    # makes of the words of those ranks, each read as a hat word.
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    cuts = [0, 1, 3, 5, 13, 17, 23, 24]
     m = k * n
-    every = list(itertools.permutations(range(1, m)))
+    every = list(itertools.permutations(range(1, m - 1)))
     total = [0] * (n + 1)
     for start, stop in zip(cuts, cuts[1:]):
         part = harness._cyc_counts_range((k, n, start, stop))
         expected = [0] * (n + 1)
-        for u in every[start:stop]:
-            for p in range(m):
-                word = u[:p] + (m,) + u[p:]
-                expected[_naive_cycle_lengths(_naive_unhat(word)).count(k)] += 1
+        for word in _insert_two_largest(every[start:stop], m):
+            expected[_naive_cycle_lengths(_naive_unhat(word)).count(k)] += 1
         assert part == expected, (start, stop)
         total = [a + b for a, b in zip(total, part)]
     assert tuple(total) == k_cycle_distribution(k, n).counts
-    assert harness._cyc_counts_range((k, n, 50, 50)) == [0] * (n + 1)
+    assert harness._cyc_counts_range((k, n, 12, 12)) == [0] * (n + 1)
 
 
 def test_capacity_refusal():
@@ -304,6 +393,29 @@ def test_capacity_refusal():
         verify_bijection(2, 4, limit=1000)
     with pytest.raises(CapacityError):
         verify_involution(2, 4, limit=1000)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: k_cycle_distribution(2, 150_000),
+        lambda: fixed_point_distribution(2, 150_000),
+        lambda: verify_bijection(2, 150_000),
+        lambda: verify_involution(2, 150_000),
+        lambda: next(enumerate_permutations(300_000)),
+        lambda: next(enumerate_gsg(2, 150_000)),
+        lambda: next(enumerate_k_cycle_factorizations(2, 150_000)),
+    ],
+    ids=["k_cycle", "fixed_point", "bijection", "involution", "s_m", "gsg", "delta"],
+)
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_capacity_refusal_builds_no_group_order(call):
+    # Each group order is refused as its factors multiply past the limit;
+    # (300000)! alone took seconds to build.
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"at least 2\^\d+ items exceeds capacity"):
+        call()
+    assert time.perf_counter() - start < 0.25
 
 
 def test_verify_bijection_small():

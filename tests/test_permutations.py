@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from math import factorial
 
@@ -191,8 +192,11 @@ def test_enumerate_capacity():
 
 
 def test_capacity_message_gives_the_count():
+    # The count is given by its factors; a refused count below the digit
+    # limit is multiplied out in full for the message.
     with pytest.raises(CapacityError, match=r"^S_12: 479001600 items exceeds capacity 400000000$"):
-        check_capacity(factorial(12), None, "S_12")
+        check_capacity(range(1, 13), None, "S_12")
+    check_capacity(range(1, 13), factorial(12), "S_12")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
@@ -201,8 +205,18 @@ def test_capacity_message_bounds_a_count_past_the_digit_limit():
     # the largest power of two not above the count.
     count = 2 ** (4 * sys.get_int_max_str_digits()) + 12345
     with pytest.raises(CapacityError) as exc:
-        check_capacity(count, 10, "X")
+        check_capacity([count], 10, "X")
     assert str(exc.value) == f"X: at least 2^{4 * sys.get_int_max_str_digits()} items exceeds capacity 10"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_capacity_multiplies_only_past_the_digit_limit():
+    # An endless product is refused once it passes the digit limit, with a
+    # power of two that bounds what was multiplied out.
+    with pytest.raises(CapacityError, match=r"^X: at least 2\^\d+ items exceeds capacity 10$") as exc:
+        check_capacity(itertools.count(2), 10, "X")
+    bits = int(re.search(r"2\^(\d+)", str(exc.value)).group(1))
+    assert bits >= sys.get_int_max_str_digits() * 3  # 10^d > 2^(3d)
 
 
 def test_empty_permutation():
