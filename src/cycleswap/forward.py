@@ -9,7 +9,16 @@ from each leader to the end of its cycle, mod k, gives x.  The number of
 k-cycles of the input equals the number of fixed points of sigma.
 
 The work happens on hat words, as plain tuples; :func:`factor` builds the
-validated objects once, at the boundary.
+validated objects once, at the boundary.  The pass is one step per block,
+right to left (``_factor_block``): from the block, g (the first record past
+it) and the largest letter left of it, the step reads the cycle and the
+residue and moves g to the block's first record, if it has one.  Cutting,
+those largest letters, and ranking and placing (``_cut``, ``_place``) stay
+outside the step, so the exhaustive check in :mod:`cycleswap.harness` runs
+the step once per suffix of a hat word and checks the rest once per element
+of the generalized symmetric group.  That shows this pass one-to-one into
+the pairs (delta, sigma); as there are |D| k^n n! = (kn)! of them, it is
+onto, and the inverse pass undoes it on every pair.
 """
 
 from __future__ import annotations
@@ -19,8 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gsg import GsgElement
-from .permutations import Permutation, _hat_cycles, _trusted, cycle_type, records
-from .permutations import stanley_hat, stanley_unhat
+from .permutations import Permutation, _hat_cycles, _trusted, _unhat, cycle_type, records, stanley_hat
 
 
 @dataclass(frozen=True)
@@ -103,32 +111,68 @@ def factor(p: Permutation, k: int) -> FactoredPair:
     if len(word) % k != 0:
         raise ValueError(f"size {len(word)} not divisible by k={k}")
     delta_word, x, tau_hat = _factor_word(word, k)
-    delta = stanley_unhat(delta_word)
-    # delta has only k-cycles iff it has n; the kernel reduces x mod k.
+    # The kernel's words are permutations of 1..kn and 1..n, and both keep
+    # them.  delta has only k-cycles iff it has n; the kernel reduces x mod k.
+    delta = _trusted(Permutation, images=_unhat(delta_word), _hat=delta_word)
     if len(_hat_cycles(delta_word, k)) * k != len(word):
         raise ValueError(f"cycle type is not ({k}^n): {cycle_type(delta)}")
-    sigma = _trusted(GsgElement, k=k, x=x, tau=stanley_unhat(tau_hat))
+    tau = _trusted(Permutation, images=_unhat(tau_hat), _hat=tau_hat)
+    sigma = _trusted(GsgElement, k=k, x=x, tau=tau)
     return _trusted(FactoredPair, delta=_trusted(KCycleFactorization, k=k, perm=delta), sigma=sigma)
 
 
 def _factor_word(word: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
-    # p's hat word to delta's hat word, x and tau_hat, in one right-to-left
-    # pass over the blocks: the next record after a block's leader is the
-    # first record past the block, carried leftward as g.  Block i, read from
-    # its leader, is the tau_hat[i]-th cycle of delta's hat word.
-    m = len(word)
-    blocks = [word[start : start + k] for start in range(0, m, k)]
-    leaders = [max(b) for b in blocks]
-    tau_hat = standardize(leaders)
-    pending = records(word)
-    x = [0] * len(blocks)
-    cycles = [()] * len(blocks)
-    g = m + 1
+    # p's hat word to delta's hat word, x and tau_hat: one step per block,
+    # right to left, carrying g, the first record past the current block.
+    blocks, tops = _cut(word, k)
+    cycles, residues = [()] * len(blocks), [0] * len(blocks)
+    g = len(word) + 1
     for i in range(len(blocks) - 1, -1, -1):
-        start, b, t = k * i, blocks[i], tau_hat[i] - 1
-        j = b.index(leaders[i])
-        x[t] = (g - start - j - 1) % k
-        cycles[t] = b[j:] + b[:j]
-        while pending and pending[-1] > start:
-            g = pending.pop()
-    return tuple(itertools.chain.from_iterable(cycles)), tuple(x), tau_hat
+        cycles[i], residues[i], g = _factor_block(blocks[i], g, k * i, tops[i], k)
+    return _place(cycles, residues)
+
+
+def _factor_block(
+    block: tuple[int, ...], g: int, start: int, top: int, k: int
+) -> tuple[tuple[int, ...], int, int]:
+    # The block at offset ``start`` read from its leader as a cycle, the
+    # leader's distance to g mod k, and the first record from the block on:
+    # its first letter above ``top``, the largest letter left of it, if any.
+    lead = max(block)
+    j = block.index(lead)
+    residue = (g - start - j - 1) % k
+    if lead > top:
+        for g, letter in enumerate(block, start + 1):
+            if letter > top:
+                break
+    return (block[j:] + block[:j] if j else block), residue, g
+
+
+def _cut(word: tuple[int, ...], k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    # The length-k blocks of ``word`` and the largest letter left of each.
+    return list(zip(*[iter(word)] * k)), _tops(word, k)
+
+
+def _tops(letters: Sequence[int], k: int) -> list[int]:
+    # The largest of letters[:k * i], 0 for none, for each block i.
+    prefix, top = [0], 0
+    for letter in letters:
+        if letter > top:
+            top = letter
+        prefix.append(top)
+    return prefix[:-1:k]
+
+
+def _place(
+    cycles: list[tuple[int, ...]], residues: list[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    # delta's hat word, x and tau_hat from each block's cycle and residue:
+    # the cycles and residues in increasing order of leader, and tau_hat[i]
+    # the rank of block i's leader, the first letter of its cycle.
+    leaders = [cycle[0] for cycle in cycles]
+    order = sorted(range(len(leaders)), key=leaders.__getitem__)
+    tau_hat = [0] * len(order)
+    for t, i in enumerate(order, 1):
+        tau_hat[i] = t
+    delta = tuple(itertools.chain.from_iterable([cycles[i] for i in order]))
+    return delta, tuple([residues[i] for i in order]), tuple(tau_hat)

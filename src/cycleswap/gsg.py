@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .permutations import Permutation, _trusted, check_capacity, check_sizes
+from .permutations import Permutation, _canonical_cycles, _trusted, check_capacity, check_sizes
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,13 @@ def enumerate_gsg(k: int, n: int, limit: int | None = None) -> Iterator[GsgEleme
     """Yield all k^n * n! elements of Z_k^n x| S_n exactly once.
 
     Outer loop: tau in lexicographic one-line order; inner loop: x counting
-    up as a base-k number (last coordinate fastest).
+    up as a base-k number (last coordinate fastest).  Each tau is walked
+    once, and its k^n elements share it and its hat word.
     """
     check_sizes(k, n)
     check_capacity(range(k, k * n + 1, k), limit, f"S({k},{n})")
     for images in itertools.permutations(range(1, n + 1)):
-        tau = _trusted(Permutation, images=images)
+        hat = tuple(itertools.chain.from_iterable(_canonical_cycles(images)))
+        tau = _trusted(Permutation, images=images, _hat=hat)
         for x in itertools.product(range(k), repeat=n):
             yield _trusted(GsgElement, k=k, x=x, tau=tau)

@@ -18,12 +18,24 @@ It runs all its trials in one loop and draws each uniform integer from
 Python call per trial and a seed gives the histograms that ``randrange``
 would.
 
-The exhaustive bijection and involution checks share one kernel pass.  It
-factors and unfactors each permutation once, and runs the kernels on a
-(delta, sigma) only when no permutation round-tripped through it, keeping one
-byte per pair, (kn)! bytes in all.  When everything passes, that pass alone
-proves the involution on every pair; otherwise the failing pairs are found
-one by one, in enumeration order.
+The exhaustive bijection and involution checks share one pass that steps
+each suffix once.  Both kernels fold one step per block over the hat word,
+right to left, and a block's step depends only on the suffix from it: the
+letters left of a block are those not in the suffix, so the suffix settles
+which letters are records and where the first record past the block lies.
+A search that picks blocks from the right thus runs both steps once per
+suffix, not once per word, checks that the inverse step gives the block
+back, and tallies the k-cycles of pi and the fixed points of sigma block by
+block.  What the steps leave out (cutting, the largest letter left of each
+block, ranking the leaders into tau_hat and placing cycles and residues by
+it) is checked on the folds' own code once per element of S(k, n).  That
+shows the forward kernel one-to-one from S_kn into D_{k,n} x S(k, n),
+keeping the statistic; as |D| k^n n! = (kn)!, it is onto, so the inverse
+kernel undoes it on every pair, and the involution swaps the statistics and
+undoes itself on every pair.  When anything fails, both checks fall back to
+a kernel pass over every permutation, one byte per pair, (kn)! bytes in
+all, and then the pairs, so the failing pairs are found one by one, in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from math import comb, factorial
 from operator import eq
 from typing import Callable
 
+from . import forward, inverse
 from .forward import _factor_word
 from .inverse import _cycle_words, _factorization_factors, _unfactor_word, count_k_cycle_factorizations
 from .permutations import _hat_cycles, _product_past, check_capacity, check_sizes, stanley_unhat
@@ -257,8 +270,122 @@ def _fixed_points(x: tuple[int, ...], tau_hat: tuple[int, ...]) -> int:
     return sum(x[i - 1] == 0 for i in _hat_cycles(tau_hat, 1))
 
 
+def _suffix_pass(k: int, n: int, limit: int | None):
+    # Whether the suffix search, the frames and the codomain all pass, with
+    # the sigma list and the number of delta's.  The capacity checks run in
+    # the order of _round_trips.
+    check_sizes(k, n)
+    check_capacity(range(1, k * n + 1), limit, f"S_{k * n}")
+    sigmas = _gsg_words(k, n, limit)
+    check_capacity(_factorization_factors(k, n), limit, f"D_{{{k},{n}}}")
+    # Each delta must be the hat word of n disjoint k-cycles on 1..kn; the
+    # frames check runs on the last one.
+    letters, n_delta, valid, delta = list(range(1, k * n + 1)), 0, True, None
+    for delta in _cycle_words(frozenset(letters), k):
+        n_delta += 1
+        valid = valid and sorted(delta) == letters and len(_hat_cycles(delta, k)) == n
+    passed = (
+        valid
+        and n_delta == count_k_cycle_factorizations(k, n)
+        and len(sigmas) == k**n * factorial(n)
+        and _frames_pass(k, n, sigmas, delta)
+        and _search(k, n)
+    )
+    return passed, sigmas, n_delta
+
+
+def _frames_pass(k: int, n: int, sigmas: list, delta: tuple[int, ...]) -> bool:
+    # The folds' code outside the steps, once per sigma = (x, tau_hat), on
+    # the word whose blocks are delta's cycles in tau_hat order, each shift
+    # 0: cutting it gives those cycles and the largest letter left of each
+    # block, ranking and placing them gives delta, x and tau_hat back, and
+    # sigma's fixed points are the blocks the search counts as fixed.  delta
+    # is a checked hat word, so each cycle's largest letter is its first.
+    for x, tau_hat in sigmas:
+        cycles, residues, tops = inverse._unplace(delta, x, tau_hat, k)
+        word = tuple(itertools.chain.from_iterable(cycles))
+        truth, top, fixed, open_fixed = [], 0, 0, False
+        for cycle, residue in zip(cycles, residues):
+            truth.append(top)
+            if cycle[0] > top:
+                fixed += open_fixed
+                top = cycle[0]
+                open_fixed = residue == 0
+            else:
+                open_fixed = False
+        if (
+            tops != truth
+            or forward._cut(word, k) != (cycles, truth)
+            or forward._place(cycles, residues) != (delta, x, tau_hat)
+            or _fixed_points(x, tau_hat) != fixed + open_fixed
+        ):
+            return False
+    return True
+
+
+def _search(k: int, n: int, leaf: Callable | None = None) -> bool:
+    # Both steps on every block of every hat word of S_kn, each suffix once.
+    # Blocks are picked from the right: whether a letter is a record depends
+    # only on the letters after it, so the largest letter left of a block,
+    # top, is the largest one not yet picked.  At each node the inverse step
+    # must give back the block and the same g, the cycle must start at the
+    # block's largest letter, lead, and the residue must lie in 0..k-1.  A
+    # k-cycle of pi starts in the block iff lead is a record (lead > top) and
+    # the next record, g, lies k past it; the block is a fixed point of sigma
+    # iff lead and the next block's leader are records and its residue is 0.
+    # At each leaf the two tallies must agree; ``leaf(blocks, cycles,
+    # fixed)``, if given, sees each word's blocks (in a list it reuses) and
+    # its tallies first.
+    factor_block, unfactor_block = forward._factor_block, inverse._unfactor_block
+    cycle_sets: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    path: list[tuple[int, ...]] = [()] * n
+
+    def visit(free, i, g, cyc, fix, next_rec):
+        start = k * i
+        for chosen in itertools.combinations(free, k):
+            rest = tuple(itertools.filterfalse(chosen.__contains__, free)) if i else ()
+            top, lead = (rest[-1] if rest else 0), chosen[-1]
+            rec = lead > top
+            cycles = cycle_sets.get(chosen)
+            if cycles is None:
+                cycles = cycle_sets[chosen] = {(lead, *p) for p in itertools.permutations(chosen[:-1])}
+            for block in itertools.permutations(chosen):
+                cycle, residue, new_g = factor_block(block, g, start, top, k)
+                back, _, back_g = unfactor_block(cycle, residue, g, start, top, k)
+                if back != block or back_g != new_g or cycle not in cycles or not 0 <= residue < k:
+                    return False
+                c = f = False
+                if rec:
+                    j = 0
+                    while block[j] < top:
+                        j += 1
+                    if new_g != start + j + 1:
+                        return False
+                    c = g - start - block.index(lead) - 1 == k
+                    f = next_rec and residue == 0
+                elif new_g != g:
+                    return False
+                path[i] = block
+                if i:
+                    if not visit(rest, i - 1, new_g, cyc + c, fix + f, rec):
+                        return False
+                else:
+                    if leaf is not None:
+                        leaf(path, cyc + c, fix + f)
+                    if cyc + c != fix + f:
+                        return False
+        return True
+
+    if not n:
+        if leaf is not None:
+            leaf(path, 0, 0)
+        return True
+    return visit(tuple(range(1, k * n + 1)), n - 1, k * n + 1, 0, 0, True)
+
+
 def _round_trips(k: int, n: int, limit: int | None):
-    # The one kernel pass behind both exhaustive checks.  rows[delta][i] is set
+    # The kernel pass both exhaustive checks fall back to when the suffix
+    # pass finds anything wrong.  rows[delta][i] is set
     # once (delta, sigmas[i]) is known to round-trip and keep its statistic:
     # by a pi that factors into it, round-trips and keeps its own, or else by
     # running the kernels on it.  Failures come back in enumeration order.
@@ -302,7 +429,10 @@ def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationRe
     hat map is a bijection."""
     report = VerificationReport("bijection", k, n)
     t0 = time.perf_counter()
-    sigmas, _, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
+    passed, sigmas, n_delta = _suffix_pass(k, n, limit)
+    bad_pis = bad_pairs = ()
+    if not passed:
+        sigmas, _, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
     for word, kept, back in bad_pis:
         if not kept:
             report.record("statistic_preserved", False, f"pi={stanley_unhat(word).images}")
@@ -336,9 +466,10 @@ def verify_involution(
     The involution sends (sigma', pi) to (sigma_pi, unfactor(delta_pi,
     sigma')), so it swaps the statistics and undoes itself on every pair as
     soon as the factorization round-trips both ways, keeps the statistic
-    and its codomain has (kn)! elements: then the bijection check's kernel
+    and its codomain has (kn)! elements: then the bijection check's suffix
     pass settles every pair.  Otherwise each pair is checked in turn, except
-    those whose pi and (delta_pi, sigma') both passed that pass."""
+    those whose pi and (delta_pi, sigma') both passed the fallback's kernel
+    pass."""
     report = VerificationReport("involution", k, n)
     t0 = time.perf_counter()
     check_sizes(k, n)
@@ -346,8 +477,11 @@ def verify_involution(
         pair_limit = DEFAULT_PAIR_CAPACITY
     pair_factors = itertools.chain(range(1, k * n + 1), range(k, k * n + 1, k))
     check_capacity(pair_factors, pair_limit, f"S({k},{n}) x S_{k * n}")
-    sigmas, rows, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
-    if bad_pis or bad_pairs or n_delta * len(sigmas) != factorial(k * n):
+    passed, sigmas, _ = _suffix_pass(k, n, limit)
+    if not passed:
+        sigmas, rows, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
+        passed = not (bad_pis or bad_pairs) and n_delta * len(sigmas) == factorial(k * n)
+    if not passed:
         bad = {word for word, _, _ in bad_pis}
         pis = []
         for word in itertools.permutations(range(1, k * n + 1)):

@@ -12,6 +12,13 @@ position g leftward from the rotated block.  Reconstruction costs O(kn).
 
 The work happens on hat words, as plain tuples; :func:`unfactor` and
 :func:`recover_shifts` build the validated objects once, at the boundary.
+As in the forward direction, the pass is one step per block
+(``_unfactor_block``), and picking each block's cycle and residue by tau_hat
+(``_unplace``) stays outside it, for the exhaustive check in
+:mod:`cycleswap.harness`, which runs the step once per suffix.  It shows
+this pass undoing the forward one on every permutation; since the pairs
+(delta, sigma) number |D| k^n n! = (kn)!, the forward pass then undoes this
+one on every pair as well.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ import itertools
 from math import factorial
 from typing import Iterator, Sequence
 
-from .forward import FactoredPair, KCycleFactorization
+from .forward import FactoredPair, KCycleFactorization, _tops
 from .gsg import GsgElement
 from .permutations import Permutation, _trusted, check_capacity, check_sizes
-from .permutations import _unhat, stanley_hat, stanley_unhat
+from .permutations import _unhat, stanley_hat
 
 
 def rotate_left(piece: Sequence[int], s: int) -> tuple[int, ...]:
@@ -39,19 +46,39 @@ def _unfactor_word(
 ) -> tuple[tuple[int, ...], list[int]]:
     # The output's hat word and the rotation amounts, from delta's hat word
     # (its k-cycles, each from its leader, in increasing leader order), x
-    # and tau_hat.
-    blocks = [delta_word[k * t - k : k * t] for t in tau_hat]
-    # before[i]: the largest leader left of block i; only a larger one moves g.
-    before = list(itertools.accumulate((b[0] for b in blocks), max, initial=0))
-    shifts = [0] * len(blocks)
+    # and tau_hat: one step per block, right to left, carrying g.
+    cycles, residues, tops = _unplace(delta_word, x, tau_hat, k)
+    blocks, shifts = [()] * len(cycles), [0] * len(cycles)
     g = len(delta_word) + 1
-    for i in range(len(blocks) - 1, -1, -1):
-        start, b, top = k * i, blocks[i], before[i]
-        s = shifts[i] = (x[tau_hat[i] - 1] - (g - start - 1)) % k
-        blocks[i] = b[s:] + b[:s] if s else b
-        if b[0] > top:
-            g = next(start + j for j, v in enumerate(blocks[i], 1) if v > top)
+    for i in range(len(cycles) - 1, -1, -1):
+        blocks[i], shifts[i], g = _unfactor_block(cycles[i], residues[i], g, k * i, tops[i], k)
     return tuple(itertools.chain.from_iterable(blocks)), shifts
+
+
+def _unfactor_block(
+    cycle: tuple[int, ...], residue: int, g: int, start: int, top: int, k: int
+) -> tuple[tuple[int, ...], int, int]:
+    # The block at offset ``start``: the cycle rotated left so that its
+    # leader lies ``residue`` mod k before g, the rotation, and the first
+    # record from the block on.  Only a leader above ``top``, the largest
+    # letter left of the block, makes a record there.
+    s = (residue - (g - start - 1)) % k
+    block = cycle[s:] + cycle[:s] if s else cycle
+    if cycle[0] > top:
+        for g, letter in enumerate(block, start + 1):
+            if letter > top:
+                break
+    return block, s, g
+
+
+def _unplace(
+    delta_word: tuple[int, ...], x: Sequence[int], tau_hat: Sequence[int], k: int
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    # Block i's cycle and residue, delta's tau_hat[i]-th cycle and x entry,
+    # and the largest letter left of each block: the largest leader before it.
+    cycles = [delta_word[k * t - k : k * t] for t in tau_hat]
+    tops = _tops([cycle[0] for cycle in cycles], 1)
+    return cycles, [x[t - 1] for t in tau_hat], tops
 
 
 def recover_shifts(delta: KCycleFactorization, sigma: GsgElement) -> tuple[int, ...]:
@@ -68,7 +95,7 @@ def unfactor(delta: KCycleFactorization, sigma: GsgElement) -> Permutation:
     """Inverse of :func:`cycleswap.forward.factor`."""
     FactoredPair(delta, sigma)
     word, _ = _unfactor_word(stanley_hat(delta.perm), sigma.x, stanley_hat(sigma.tau), delta.k)
-    return stanley_unhat(word)
+    return _trusted(Permutation, images=_unhat(word), _hat=word)
 
 
 def count_k_cycle_factorizations(k: int, n: int) -> int:

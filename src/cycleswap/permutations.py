@@ -9,11 +9,13 @@ and pickling see nothing else.  Each object of this package is checked
 once, in O(m), where its representation is born, and never again: by a
 public constructor; by :func:`stanley_unhat`, on its word; by a text
 parser, on the letters it read; or by construction, in enumerations and
-for the kernels' x.  :func:`_trusted` then builds it.  Only the cycle
-parser's result and each enumerated k-cycle factorization keep their hat
-word, for :func:`stanley_hat`; the others walk their cycles, as keeping the
-word saved no time and raised peak memory by 5-7 % on the text-to-text
-involution benchmark.
+for the kernels' words and x.  :func:`_trusted` then builds it.  These keep
+their hat word, for :func:`stanley_hat`: the cycle parser's result, each
+enumerated k-cycle factorization, each enumerated tau (shared by its k^n
+elements), the delta and tau of ``factor`` and the output of ``unfactor``.
+The others, ``stanley_unhat``'s result and so the involution's output
+among them, walk their cycles: keeping the word on every output raised
+peak memory by 5-7 % on the text-to-text involution benchmark.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cycleswap import harness
+from cycleswap import forward, harness, inverse
 from cycleswap.harness import (
     Distribution,
     VerificationReport,
@@ -25,6 +25,7 @@ from cycleswap.harness import (
     verify_distribution_identity,
     verify_involution,
 )
+from cycleswap.forward import standardize
 from cycleswap.gsg import count_fixed_points, enumerate_gsg
 from cycleswap.inverse import count_k_cycle_factorizations, enumerate_k_cycle_factorizations
 from cycleswap.permutations import CapacityError, _hat_cycles, enumerate_permutations, stanley_unhat
@@ -436,10 +437,34 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _search_nodes(k, n):
+    # The blocks picked from the right: j blocks of distinct letters of
+    # {1..kn} can be picked in (kn)!/(kn - jk)! ways, for j = 1..n.
+    m = k * n
+    return sum(factorial(m) // factorial(m - j * k) for j in range(1, n + 1))
+
+
+def _count_steps(monkeypatch):
+    # Every call of the forward and of the inverse step, by direction.
+    calls = {}
+    for module, name in ((forward, "_factor_block"), (inverse, "_unfactor_block")):
+        real = getattr(module, name)
+        calls[name] = []
+
+        def counted(*args, real=real, seen=calls[name]):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_verify_bijection_enumerates_gsg_once(monkeypatch):
     calls = _count_calls(monkeypatch, "_gsg_words")
+    steps = _count_steps(monkeypatch)
     assert verify_bijection(2, 2).passed
     assert len(calls) == 1
+    assert [len(c) for c in steps.values()] == [_search_nodes(2, 2)] * 2
 
 
 def test_verify_involution_small():
@@ -449,67 +474,87 @@ def test_verify_involution_small():
 
 
 def test_verify_involution_factors_each_pi_once(monkeypatch):
-    # Each of the 4! words is factored once.  Every pi then vouches for its
-    # (delta, sigma), so a passing run factors nothing more: 24 calls, not the
-    # 24 + 192 = 216 of factoring every pair's output.
+    # The search steps each suffix once: 12 right blocks, then 2 orders of
+    # the last two letters under each, 36 forward steps where stepping each
+    # of the 4! words block by block would take 48.  No whole word is factored.
     calls = _count_calls(monkeypatch, "_factor_word")
+    steps = _count_steps(monkeypatch)
     assert verify_involution(2, 2).passed
-    assert len(calls) == factorial(4)
+    assert len(steps["_factor_block"]) == _search_nodes(2, 2) == 36
+    assert calls == []
 
 
 def test_verify_involution_unfactors_once_per_pi_and_per_fibre(monkeypatch):
-    # Each word's own factorization is unfactored once; no delta-fibre needs
-    # an unfactor call of its own when every pi round-trips.
+    # One inverse step per search node, as many as forward steps; a passing
+    # run unfactors no whole word and no delta-fibre.
     calls = _count_calls(monkeypatch, "_unfactor_word")
+    steps = _count_steps(monkeypatch)
     assert verify_involution(2, 2).passed
-    assert len(calls) == factorial(4)
+    assert len(steps["_unfactor_block"]) == _search_nodes(2, 2)
+    assert calls == []
 
 
 def test_verify_bijection_runs_the_kernels_in_the_left_loop_only(monkeypatch):
-    # Every pi marks its (delta, sigma), so the right-inverse loop runs no
-    # kernel when everything passes.
+    # A passing run takes no per-word or per-pair walk: both steps run once
+    # per search node and the whole-word kernels never run.
     factor_calls = _count_calls(monkeypatch, "_factor_word")
     unfactor_calls = _count_calls(monkeypatch, "_unfactor_word")
+    steps = _count_steps(monkeypatch)
     assert verify_bijection(2, 2).passed
-    assert len(factor_calls) == factorial(4)
-    assert len(unfactor_calls) == factorial(4)
+    assert factor_calls == unfactor_calls == []
+    assert [len(c) for c in steps.values()] == [_search_nodes(2, 2)] * 2
+
+
+def _inverse_context(block, g, start, top, k):
+    # The inverse step's arguments for what the forward step reads off
+    # ``block`` at that context.
+    cycle, residue, _ = forward._factor_block(block, g, start, top, k)
+    return cycle, residue, g, start, top, k
+
+
+def _last_block(k, n):
+    # The forward step's context for the last block of the identity word.
+    m = k * n
+    return tuple(range(m - k + 1, m + 1)), m + 1, m - k, m - k, k
 
 
 def _break_inverse_kernel(monkeypatch, target):
-    # The inverse kernel swaps the first two letters of its output for the
-    # one input ``target`` and is right everywhere else.
-    real = harness._unfactor_word
+    # The inverse step raises the first letter of its block by one for the
+    # one context ``target`` and is right everywhere else.
+    real = inverse._unfactor_block
 
     def broken(*args):
-        word, shifts = real(*args)
+        block, shift, g = real(*args)
         if args == target:
-            word = (word[1], word[0]) + word[2:]
-        return word, shifts
+            block = (block[0] + 1,) + block[1:]
+        return block, shift, g
 
-    monkeypatch.setattr(harness, "_unfactor_word", broken)
+    monkeypatch.setattr(inverse, "_unfactor_block", broken)
 
 
 _MISREPORTS = {
-    "x": lambda delta, x, tau_hat: (delta, (x[0] + 1,) + x[1:], tau_hat),
-    "delta": lambda delta, x, tau_hat: ((delta[1], delta[0]) + delta[2:], x, tau_hat),
+    "x": lambda cycle, residue, g: (cycle, residue + 1, g),
+    "x+k": lambda cycle, residue, g: (cycle, residue + len(cycle), g),
+    "delta": lambda cycle, residue, g: ((cycle[0] + 1,) + cycle[1:], residue, g),
 }
 
 
 def _break_forward_kernel(monkeypatch, target, part="x"):
-    # The forward kernel reports x_1 + 1, or delta with its first two
-    # letters swapped, for the one word ``target`` and is right everywhere
-    # else.
-    real = harness._factor_word
+    # The forward step reports its residue plus 1 or plus k, or its cycle
+    # with the first letter raised by one, for the one context ``target`` and
+    # is right everywhere else.
+    real = forward._factor_block
 
-    def broken(word, k):
-        out = real(word, k)
-        return _MISREPORTS[part](*out) if word == target else out
+    def broken(*args):
+        out = real(*args)
+        return _MISREPORTS[part](*out) if args == target else out
 
-    monkeypatch.setattr(harness, "_factor_word", broken)
+    monkeypatch.setattr(forward, "_factor_block", broken)
 
 
 def test_broken_inverse_kernel_is_caught_by_verify_bijection(monkeypatch):
-    _break_inverse_kernel(monkeypatch, (*harness._factor_word((1, 2, 3, 4), 2), 2))
+    # The last block of the word 1 2 3 4, the largest letter left of it 2.
+    _break_inverse_kernel(monkeypatch, _inverse_context((3, 4), 5, 2, 2, 2))
     report = verify_bijection(2, 2)
     assert not report.passed
     assert not (report.properties["left_inverse"] and report.properties["right_inverse"])
@@ -517,7 +562,7 @@ def test_broken_inverse_kernel_is_caught_by_verify_bijection(monkeypatch):
 
 
 def test_broken_inverse_kernel_is_caught_by_verify_involution(monkeypatch):
-    _break_inverse_kernel(monkeypatch, ((1, 2, 3), (0, 0, 0), (1, 2, 3), 1))
+    _break_inverse_kernel(monkeypatch, _inverse_context((3,), 4, 2, 2, 1))
     report = verify_involution(1, 3)
     assert not report.properties["involution"]
     assert re.fullmatch(r"sigma=\(\(\d, \d, \d\),\(\d, \d, \d\)\) pi=\(\d, \d, \d\)",
@@ -525,18 +570,69 @@ def test_broken_inverse_kernel_is_caught_by_verify_involution(monkeypatch):
 
 
 def test_broken_forward_kernel_is_caught_by_verify_bijection(monkeypatch):
-    _break_forward_kernel(monkeypatch, (2, 1, 4, 3))
+    # The last block of the word 2 1 4 3.
+    _break_forward_kernel(monkeypatch, ((4, 3), 5, 2, 2, 2))
     report = verify_bijection(2, 2)
     assert not report.passed
     assert re.fullmatch(r"pi=\(\d+(, \d+)*\)", report.counterexample)
 
 
 def test_broken_forward_kernel_is_caught_by_verify_involution(monkeypatch):
-    _break_forward_kernel(monkeypatch, (1, 2, 3))
+    # At k = 1 the residue 0 + 1 lies outside Z_1.
+    _break_forward_kernel(monkeypatch, _last_block(1, 3))
     report = verify_involution(1, 3)
     assert not report.passed
     assert re.fullmatch(r"sigma=\(\(\d, \d, \d\),\(\d, \d, \d\)\) pi=\(\d, \d, \d\)",
                         report.counterexample)
+
+
+def _misplace(monkeypatch, tau0):
+    # The forward placement swaps delta's first two cycles whenever it ranks
+    # the leaders into ``tau0``, and is right everywhere else.
+    real = forward._place
+
+    def misplaced(cycles, residues):
+        delta, x, tau_hat = real(cycles, residues)
+        if tau_hat == tau0:
+            k = len(cycles[0])
+            delta = delta[k : 2 * k] + delta[:k] + delta[2 * k :]
+        return delta, x, tau_hat
+
+    monkeypatch.setattr(forward, "_place", misplaced)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_a_broken_placement_at_one_tau_fails_both_checks(monkeypatch, k, n):
+    # Only the words whose leaders rank as 2 1 3 .. n are misplaced.
+    _misplace(monkeypatch, (2, 1) + tuple(range(3, n + 1)))
+    report = verify_bijection(k, n)
+    assert not report.properties["left_inverse"] and not report.properties["right_inverse"]
+    assert not verify_involution(k, n).properties["involution"]
+
+
+@pytest.mark.parametrize("k, n", [(k, m // k) for m in range(8) for k in range(1, m + 1) if m % k == 0])
+def test_search_tallies_match_the_statistics(k, n):
+    # Every word of S_kn is a leaf, once, and its two tallies are its
+    # k-cycles and the fixed points of its sigma.
+    words = []
+
+    def leaf(blocks, cycles, fixed):
+        word = tuple(itertools.chain.from_iterable(blocks))
+        _, x, tau_hat = harness._factor_word(word, k)
+        assert (cycles, fixed) == (len(_hat_cycles(word, k)), harness._fixed_points(x, tau_hat))
+        words.append(word)
+
+    assert harness._search(k, n, leaf)
+    assert sorted(words) == list(itertools.permutations(range(1, k * n + 1)))
+
+
+@pytest.mark.parametrize("k, n", [(1, 0), (3, 0), (1, 1)])
+def test_the_smallest_sizes_pass_without_a_walk(monkeypatch, k, n):
+    walks = _count_calls(monkeypatch, "_round_trips")
+    bijection, involution = verify_bijection(k, n), verify_involution(k, n)
+    assert bijection.passed and bijection.checked == 2  # (kn)! plus |D| * |S(k, n)|
+    assert involution.passed and involution.checked == 1
+    assert walks == []
 
 
 def _naive_verify_bijection(k, n):
@@ -609,19 +705,21 @@ def _miscount_fixed_points(monkeypatch, x0, tau0):
     monkeypatch.setattr(harness, "_fixed_points", miscounted)
 
 
-def _relabel_delta(monkeypatch, target, k):
-    # The forward kernel misreports delta for the one word ``target`` and the
-    # inverse kernel maps that report back to ``target``: every pi
+def _relabel_delta(monkeypatch, target):
+    # The forward step misreports the cycle at the one context ``target`` and
+    # the inverse step maps that report back to target's block: every pi
     # round-trips, but the (delta, sigma) it came from does not.
+    block, g, start, top, k = target
     _break_forward_kernel(monkeypatch, target, "delta")
-    moved = (*harness._factor_word(target, k), k)
-    real = harness._unfactor_word
+    cycle, residue, g_out = forward._factor_block(*target)
+    moved = (cycle, residue, g, start, top, k)
+    real = inverse._unfactor_block
 
     def relabelled(*args):
-        word, shifts = real(*args)
-        return (target if args == moved else word), shifts
+        out = real(*args)
+        return (block, out[1], g_out) if args == moved else out
 
-    monkeypatch.setattr(harness, "_unfactor_word", relabelled)
+    monkeypatch.setattr(inverse, "_unfactor_block", relabelled)
 
 
 def _drop_delta(monkeypatch):
@@ -633,16 +731,19 @@ def _drop_delta(monkeypatch):
 
 
 def _kernel_patches(k, n):
-    # No patch, then the kernels broken at the identity word (the last patch
-    # keeps every pi round-tripping), then the statistic miscounted at x = 0
-    # with tau the identity, then one delta missing from the enumeration.
-    ident = tuple(range(1, k * n + 1))
+    # No patch, then each step broken at the last block of the identity word
+    # (the relabel keeps every pi round-tripping), the placement broken at
+    # the leaders ranked 2 1 3 .. n, the statistic miscounted at x = 0 with
+    # tau the identity, and one delta missing from the enumeration.
     yield lambda mp: None
-    if k * n >= 2:
-        yield lambda mp: _break_inverse_kernel(mp, (*harness._factor_word(ident, k), k))
-        yield lambda mp: _break_forward_kernel(mp, ident, "x")
-        yield lambda mp: _break_forward_kernel(mp, ident, "delta")
-        yield lambda mp: _relabel_delta(mp, ident, k)
+    if n:
+        last = _last_block(k, n)
+        yield lambda mp: _break_inverse_kernel(mp, _inverse_context(*last))
+        yield lambda mp: _break_forward_kernel(mp, last, "x")
+        yield lambda mp: _break_forward_kernel(mp, last, "delta")
+        yield lambda mp: _relabel_delta(mp, last)
+    if n >= 2:
+        yield lambda mp: _misplace(mp, (2, 1) + tuple(range(3, n + 1)))
     yield lambda mp: _miscount_fixed_points(mp, (0,) * n, tuple(range(1, n + 1)))
     yield _drop_delta
 
@@ -651,7 +752,7 @@ def test_a_missing_delta_fails_the_codomain_and_forces_the_pair_walk(monkeypatch
     # With one delta missing, every pi and every listed pair still passes, so
     # only |D| * k^n * n! = (kn)! can stop verify_involution from passing at
     # once.  It must walk the pairs instead, which factors every pi again:
-    # more kernel calls than the 4! + 4! of the pass.
+    # more whole-word kernel calls than the 4! + 4! of the fallback's pass.
     _drop_delta(monkeypatch)
     report = verify_bijection(2, 2)
     assert report.properties["codomain_cardinality"] is False
@@ -696,6 +797,121 @@ def test_verify_matches_the_naive_per_pair_loops(kind, max_m):
             assert got_log == want_log, (k, n)
             outcomes.add(want.passed)
     assert outcomes == {True, False}
+
+
+def _shift_residue(monkeypatch, target):
+    # At the context of ``target`` the forward step reports the residue of
+    # each rotation of target's cycle plus 1 mod k, and the inverse step
+    # takes it back: the steps still undo each other, but x, and so sigma's
+    # fixed points, move.
+    block, g, start, top, k = target
+    real_factor, real_unfactor = forward._factor_block, inverse._unfactor_block
+    moved = real_factor(*target)[0]
+
+    def shifted(*args):
+        cycle, residue, g_out = real_factor(*args)
+        if cycle == moved and args[1:] == target[1:]:
+            residue = (residue + 1) % k
+        return cycle, residue, g_out
+
+    def unshifted(cycle, residue, *context):
+        if cycle == moved and context == target[1:]:
+            residue = (residue - 1) % k
+        return real_unfactor(cycle, residue, *context)
+
+    monkeypatch.setattr(forward, "_factor_block", shifted)
+    monkeypatch.setattr(inverse, "_unfactor_block", unshifted)
+
+
+def _shift_record(monkeypatch, target):
+    # Both steps place the first record from the block one letter too far
+    # right at the one context ``target``: the folds still undo each other,
+    # but the residues left of the block move.
+    contexts = {target, _inverse_context(*target)}
+    for module, name in ((forward, "_factor_block"), (inverse, "_unfactor_block")):
+        real = getattr(module, name)
+
+        def shifted(*args, real=real):
+            out = real(*args)
+            return (*out[:2], out[2] + 1) if args in contexts else out
+
+        monkeypatch.setattr(module, name, shifted)
+
+
+def _reverse_first_delta(monkeypatch):
+    # The enumeration of delta's hat words gives its first one reversed, which
+    # is no hat word of k-cycles, and the rest as they are.
+    real = harness._cycle_words
+
+    def reversed_first(remaining, k):
+        words = real(remaining, k)
+        yield next(words)[::-1]
+        yield from words
+
+    monkeypatch.setattr(harness, "_cycle_words", reversed_first)
+
+
+def _miscut(monkeypatch, tau0):
+    # The forward fold's cutting swaps the first two blocks whenever their
+    # leaders rank as ``tau0``.
+    real = forward._cut
+
+    def miscut(word, k):
+        blocks, tops = real(word, k)
+        if standardize([max(b) for b in blocks]) == tau0:
+            blocks[:2] = blocks[1::-1]
+        return blocks, tops
+
+    monkeypatch.setattr(forward, "_cut", miscut)
+
+
+def _mistop(monkeypatch, tau0):
+    # The inverse fold takes every letter to lie left of the last block
+    # whenever tau_hat is ``tau0``.
+    real = inverse._unplace
+
+    def mistopped(delta_word, x, tau_hat, k):
+        cycles, residues, tops = real(delta_word, x, tau_hat, k)
+        if tuple(tau_hat) == tau0:
+            tops = tops[:-1] + [len(delta_word)]
+        return cycles, residues, tops
+
+    monkeypatch.setattr(inverse, "_unplace", mistopped)
+
+
+_PASS_PATCHES = {
+    "shifted residue": lambda mp, k, n: _shift_residue(mp, _last_block(k, n)),
+    "shifted record": lambda mp, k, n: _shift_record(mp, _last_block(k, n)),
+    "residue plus k": lambda mp, k, n: _break_forward_kernel(mp, _last_block(k, n), "x+k"),
+    "invalid delta": lambda mp, k, n: _reverse_first_delta(mp),
+    "miscut": lambda mp, k, n: _miscut(mp, (2, 1) + tuple(range(3, n + 1))),
+    "mistop": lambda mp, k, n: _mistop(mp, tuple(range(1, n + 1))),
+}
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("patch", list(_PASS_PATCHES))
+def test_the_pass_refuses_each_break_the_naive_check_finds(monkeypatch, patch, k, n):
+    # Each break keeps the steps undoing each other, so only one of the
+    # pass's other checks sees it: the leaf tallies, the first record, the
+    # residue's range, the delta's, the cutting or the largest letters.
+    _PASS_PATCHES[patch](monkeypatch, k, n)
+    assert not harness._suffix_pass(k, n, None)[0]
+    got, want = verify_bijection(k, n), _naive_verify_bijection(k, n)
+    assert not want.passed
+    assert (got.properties, got.checked, got.counterexample) == (
+        want.properties, want.checked, want.counterexample)
+
+
+def test_the_pass_refuses_a_wrong_record_that_no_statistic_reads(monkeypatch):
+    # The last block 1 2 holds no record, and both steps report the next
+    # record one letter too far right there.  A wrong g past a block without
+    # a record moves only residues of blocks followed by no record, which no
+    # fixed point reads, so every word and pair passes; the pass refuses it
+    # anyway, as its search must step the contexts the folds step.
+    _shift_record(monkeypatch, ((1, 2), 7, 4, 6, 2))
+    assert not harness._suffix_pass(2, 3, None)[0]
+    assert verify_bijection(2, 3).passed and _naive_verify_bijection(2, 3).passed
 
 
 def test_sample_deterministic():
