@@ -18,23 +18,35 @@ It runs all its trials in one loop and draws each uniform integer from
 Python call per trial and a seed gives the histograms that ``randrange``
 would.
 
-The exhaustive bijection and involution checks share one pass that steps
-each suffix once.  Both kernels fold one step per block over the hat word,
-right to left, and a block's step depends only on the suffix from it: the
-letters left of a block are those not in the suffix, so the suffix settles
-which letters are records and where the first record past the block lies.
-A search that picks blocks from the right thus runs both steps once per
-suffix, not once per word, checks that the inverse step gives the block
-back, and tallies the k-cycles of pi and the fixed points of sigma block by
-block.  What the steps leave out (cutting, the largest letter left of each
+The exhaustive bijection and involution checks share one pass, a memoized
+search over the suffixes of hat words.  Both kernels fold one step per block
+over the hat word, right to left, and a step reads only the block, its
+offset, g (the first record past it) and top (the largest letter left of
+it).  A search that picks blocks from the right knows all of them: the
+letters left of a block are those not yet picked, so the offset is their
+number and top their largest.  So the blocks left of a suffix, and every
+step and check on them, depend on the suffix through three things only: the
+letters left, g, and whether the suffix's first leader is a record, which
+decides whether the block just left of it can be a fixed point of sigma.
+Suffixes that agree on these have identical subtrees, so the search steps
+each such state once, where a tree would step every suffix of every word.
+The flag is in fact fixed by g, which lies in the suffix's first block iff
+that block holds a record, so there are at most 2^kn (kn + 1) states.  This
+assumes only that a step is a function of its arguments.  At each block it
+checks that the inverse step gives the block and g back, that the cycle
+starts at the block's largest letter, that the residue lies in 0..k-1 and
+that g moves to the block's first record; each state returns the set of
+(k-cycles of pi, fixed points of sigma) pairs that its blocks can add, so
+the root's set holds the pair of every word, and the pass needs each pair
+equal.  What the steps leave out (cutting, the largest letter left of each
 block, ranking the leaders into tau_hat and placing cycles and residues by
-it) is checked on the folds' own code once per element of S(k, n).  That
-shows the forward kernel one-to-one from S_kn into D_{k,n} x S(k, n),
+it) is checked on the folds' own code once per element of S(k, n), streamed.
+That shows the forward kernel one-to-one from S_kn into D_{k,n} x S(k, n),
 keeping the statistic; as |D| k^n n! = (kn)!, it is onto, so the inverse
 kernel undoes it on every pair, and the involution swaps the statistics and
 undoes itself on every pair.  When anything fails, both checks fall back to
-a kernel pass over every permutation, one byte per pair, (kn)! bytes in
-all, and then the pairs, so the failing pairs are found one by one, in
+a kernel pass over every permutation, one byte per pair, (kn)! bytes in all,
+and then the pairs, so the failing pairs are found one by one, in
 enumeration order.
 """
 
@@ -48,7 +60,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from math import comb, factorial
 from operator import eq
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import forward, inverse
 from .forward import _factor_word
@@ -258,11 +270,12 @@ def verify_distribution_identity(
     return report
 
 
-def _gsg_words(k: int, n: int, limit: int | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # Every (x, tau) in Z_k^n x| S_n, as x and the hat word of tau.
+def _gsg_words(k: int, n: int, limit: int | None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Every (x, tau) in Z_k^n x| S_n, as x and the hat word of tau, streamed;
+    # the capacity check runs at the call.
     check_capacity(range(k, k * n + 1, k), limit, f"S({k},{n})")
     xs = list(itertools.product(range(k), repeat=n))
-    return [(x, tau) for tau in itertools.permutations(range(1, n + 1)) for x in xs]
+    return ((x, tau) for tau in itertools.permutations(range(1, n + 1)) for x in xs)
 
 
 def _fixed_points(x: tuple[int, ...], tau_hat: tuple[int, ...]) -> int:
@@ -270,10 +283,10 @@ def _fixed_points(x: tuple[int, ...], tau_hat: tuple[int, ...]) -> int:
     return sum(x[i - 1] == 0 for i in _hat_cycles(tau_hat, 1))
 
 
-def _suffix_pass(k: int, n: int, limit: int | None):
+def _suffix_pass(k: int, n: int, limit: int | None) -> tuple[bool, int]:
     # Whether the suffix search, the frames and the codomain all pass, with
-    # the sigma list and the number of delta's.  The capacity checks run in
-    # the order of _round_trips.
+    # the number of delta's.  The capacity checks run in the order of
+    # _round_trips.
     check_sizes(k, n)
     check_capacity(range(1, k * n + 1), limit, f"S_{k * n}")
     sigmas = _gsg_words(k, n, limit)
@@ -287,20 +300,22 @@ def _suffix_pass(k: int, n: int, limit: int | None):
     passed = (
         valid
         and n_delta == count_k_cycle_factorizations(k, n)
-        and len(sigmas) == k**n * factorial(n)
-        and _frames_pass(k, n, sigmas, delta)
-        and _search(k, n)
+        and _frames_pass(k, sigmas, delta) == k**n * factorial(n)
+        and (tallies := _search(k, n)) is not None
+        and all(c == f for c, f in tallies)
     )
-    return passed, sigmas, n_delta
+    return passed, n_delta
 
 
-def _frames_pass(k: int, n: int, sigmas: list, delta: tuple[int, ...]) -> bool:
+def _frames_pass(k: int, sigmas: Iterable, delta: tuple[int, ...]) -> int:
     # The folds' code outside the steps, once per sigma = (x, tau_hat), on
     # the word whose blocks are delta's cycles in tau_hat order, each shift
     # 0: cutting it gives those cycles and the largest letter left of each
     # block, ranking and placing them gives delta, x and tau_hat back, and
     # sigma's fixed points are the blocks the search counts as fixed.  delta
     # is a checked hat word, so each cycle's largest letter is its first.
+    # Returns how many sigmas passed, stopping at the first that fails.
+    passed = 0
     for x, tau_hat in sigmas:
         cycles, residues, tops = inverse._unplace(delta, x, tau_hat, k)
         word = tuple(itertools.chain.from_iterable(cycles))
@@ -319,29 +334,33 @@ def _frames_pass(k: int, n: int, sigmas: list, delta: tuple[int, ...]) -> bool:
             or forward._place(cycles, residues) != (delta, x, tau_hat)
             or _fixed_points(x, tau_hat) != fixed + open_fixed
         ):
-            return False
-    return True
+            break
+        passed += 1
+    return passed
 
 
-def _search(k: int, n: int, leaf: Callable | None = None) -> bool:
-    # Both steps on every block of every hat word of S_kn, each suffix once.
-    # Blocks are picked from the right: whether a letter is a record depends
-    # only on the letters after it, so the largest letter left of a block,
-    # top, is the largest one not yet picked.  At each node the inverse step
-    # must give back the block and the same g, the cycle must start at the
-    # block's largest letter, lead, and the residue must lie in 0..k-1.  A
-    # k-cycle of pi starts in the block iff lead is a record (lead > top) and
-    # the next record, g, lies k past it; the block is a fixed point of sigma
-    # iff lead and the next block's leader are records and its residue is 0.
-    # At each leaf the two tallies must agree; ``leaf(blocks, cycles,
-    # fixed)``, if given, sees each word's blocks (in a list it reuses) and
-    # its tallies first.
+def _search(k: int, n: int) -> set[tuple[int, int]] | None:
+    # Both steps on every block of every hat word of S_kn, stepping each
+    # state of a suffix once.  Blocks are picked from the right: whether a letter is a
+    # record depends only on the letters after it, so the largest letter
+    # left of a block, top, is the largest one not yet picked.  At each
+    # block the inverse step must give back the block and the same g, the
+    # cycle must start at the block's largest letter, lead, and the residue
+    # must lie in 0..k-1.  A k-cycle of pi starts in the block iff lead is a
+    # record (lead > top) and the next record, g, lies k past it; the block
+    # is a fixed point of sigma iff lead and the next block's leader are
+    # records and its residue is 0.  The blocks left of a suffix, and every
+    # step on them, depend only on the letters left, g and whether the
+    # suffix's first leader is a record, so each such state is searched
+    # once, for the set of (k-cycles, fixed points) pairs its blocks can
+    # add.  Returns the whole words' set, or None at the first failing check.
     factor_block, unfactor_block = forward._factor_block, inverse._unfactor_block
     cycle_sets: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    path: list[tuple[int, ...]] = [()] * n
+    memo: dict[tuple[tuple[int, ...], int, bool], set[tuple[int, int]]] = {}
 
-    def visit(free, i, g, cyc, fix, next_rec):
-        start = k * i
+    def visit(free, g, next_rec):
+        i = len(free) // k - 1
+        start, tallies = k * i, set()
         for chosen in itertools.combinations(free, k):
             rest = tuple(itertools.filterfalse(chosen.__contains__, free)) if i else ()
             top, lead = (rest[-1] if rest else 0), chosen[-1]
@@ -353,34 +372,33 @@ def _search(k: int, n: int, leaf: Callable | None = None) -> bool:
                 cycle, residue, new_g = factor_block(block, g, start, top, k)
                 back, _, back_g = unfactor_block(cycle, residue, g, start, top, k)
                 if back != block or back_g != new_g or cycle not in cycles or not 0 <= residue < k:
-                    return False
+                    return None
                 c = f = False
                 if rec:
                     j = 0
                     while block[j] < top:
                         j += 1
                     if new_g != start + j + 1:
-                        return False
+                        return None
                     c = g - start - block.index(lead) - 1 == k
                     f = next_rec and residue == 0
                 elif new_g != g:
-                    return False
-                path[i] = block
-                if i:
-                    if not visit(rest, i - 1, new_g, cyc + c, fix + f, rec):
-                        return False
-                else:
-                    if leaf is not None:
-                        leaf(path, cyc + c, fix + f)
-                    if cyc + c != fix + f:
-                        return False
-        return True
+                    return None
+                if not i:
+                    tallies.add((c, f))
+                    continue
+                key = (rest, new_g, rec)
+                left = memo.get(key)
+                if left is None:
+                    left = memo[key] = visit(rest, new_g, rec)
+                    if left is None:
+                        return None
+                tallies.update([(a + c, b + f) for a, b in left])
+        return tallies
 
-    if not n:
-        if leaf is not None:
-            leaf(path, 0, 0)
-        return True
-    return visit(tuple(range(1, k * n + 1)), n - 1, k * n + 1, 0, 0, True)
+    tallies = visit(tuple(range(1, k * n + 1)), k * n + 1, True) if n else {(0, 0)}
+    del visit  # it refers to itself: this frees the memo now, not at a later collection
+    return tallies
 
 
 def _round_trips(k: int, n: int, limit: int | None):
@@ -391,7 +409,7 @@ def _round_trips(k: int, n: int, limit: int | None):
     # running the kernels on it.  Failures come back in enumeration order.
     check_sizes(k, n)
     check_capacity(range(1, k * n + 1), limit, f"S_{k * n}")
-    sigmas = _gsg_words(k, n, limit)
+    sigmas = list(_gsg_words(k, n, limit))
     check_capacity(_factorization_factors(k, n), limit, f"D_{{{k},{n}}}")
     index = {sigma: i for i, sigma in enumerate(sigmas)}
     rows: defaultdict[tuple[int, ...], bytearray] = defaultdict(lambda: bytearray(len(sigmas)))
@@ -426,10 +444,17 @@ def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationRe
     """Round-trip the factorization both ways over the whole domain and
     codomain, and check the statistic equality on every element.  Each
     permutation is enumerated by its hat word, which is exact because the
-    hat map is a bijection."""
+    hat map is a bijection.
+
+    ``codomain_cardinality`` holds when the enumeration of D_{k,n} yields
+    (kn)!/(k^n n!) hat words, the closed form of
+    :func:`~cycleswap.inverse.count_k_cycle_factorizations`, so that the
+    codomain has |D| k^n n! = (kn)! pairs, as many as S_kn has elements.
+    It counts the words and does not compare them; the pass checks that
+    each one is the hat word of n disjoint k-cycles on 1..kn."""
     report = VerificationReport("bijection", k, n)
     t0 = time.perf_counter()
-    passed, sigmas, n_delta = _suffix_pass(k, n, limit)
+    passed, n_delta = _suffix_pass(k, n, limit)
     bad_pis = bad_pairs = ()
     if not passed:
         sigmas, _, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
@@ -452,7 +477,7 @@ def verify_bijection(k: int, n: int, limit: int | None = None) -> VerificationRe
         and n_delta * k**n * factorial(n) == factorial(k * n),
         f"|D|={n_delta}",
     )
-    report.checked = factorial(k * n) + n_delta * len(sigmas)
+    report.checked = factorial(k * n) + n_delta * k**n * factorial(n)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -477,7 +502,7 @@ def verify_involution(
         pair_limit = DEFAULT_PAIR_CAPACITY
     pair_factors = itertools.chain(range(1, k * n + 1), range(k, k * n + 1, k))
     check_capacity(pair_factors, pair_limit, f"S({k},{n}) x S_{k * n}")
-    passed, sigmas, _ = _suffix_pass(k, n, limit)
+    passed, _ = _suffix_pass(k, n, limit)
     if not passed:
         sigmas, rows, bad_pis, bad_pairs, n_delta = _round_trips(k, n, limit)
         passed = not (bad_pis or bad_pairs) and n_delta * len(sigmas) == factorial(k * n)
@@ -555,7 +580,7 @@ def sample_empirical(
 
 def _uniform_below(getrandbits: Callable[[int], int]) -> Callable[[int], int]:
     # below(size) is uniform on 0..size-1 for size >= 1, drawn as
-    # Random.randrange(size) draws it (CPython 3.10 and 3.11): getrandbits of
+    # Random.randrange(size) draws it (CPython 3.10 to 3.13): getrandbits of
     # size's bit length until the result is below size.  Exact, with no float,
     # and the same bits consumed as randrange would.
     def below(size: int) -> int:

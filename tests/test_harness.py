@@ -438,10 +438,38 @@ def _count_calls(monkeypatch, name):
 
 
 def _search_nodes(k, n):
-    # The blocks picked from the right: j blocks of distinct letters of
-    # {1..kn} can be picked in (kn)!/(kn - jk)! ways, for j = 1..n.
+    # The blocks picked from the right, one tree node each: j blocks of
+    # distinct letters of {1..kn} can be picked in (kn)!/(kn - jk)! ways,
+    # for j = 1..n.
     m = k * n
     return sum(factorial(m) // factorial(m - j * k) for j in range(1, n + 1))
+
+
+def _naive_records(word):
+    # The 1-based positions of the left-to-right maxima of ``word``.
+    return [i for i, letter in enumerate(word, 1) if letter > max(word[: i - 1], default=0)]
+
+
+def _memo_states(k, n):
+    # Every state the memoized search steps, read off the words of S_kn: for
+    # each block, the letters up to it, the first record past it (kn + 1
+    # for none) and whether the next block's largest letter is a record.
+    m, states = k * n, set()
+    for word in itertools.permutations(range(1, m + 1)):
+        records = _naive_records(word)
+        for i in range(n):
+            end = k * (i + 1)
+            g = next((r for r in records if r > end), m + 1)
+            nxt = word[end : end + k]
+            next_rec = not nxt or word.index(max(nxt)) + 1 in records
+            states.add((tuple(sorted(word[:end])), g, next_rec))
+    return states
+
+
+def _memo_steps(k, n):
+    # Each state steps every block it can pick: j letters left give
+    # j!/(j - k)! blocks.
+    return sum(factorial(len(free)) // factorial(len(free) - k) for free, _, _ in _memo_states(k, n))
 
 
 def _count_steps(monkeypatch):
@@ -464,7 +492,8 @@ def test_verify_bijection_enumerates_gsg_once(monkeypatch):
     steps = _count_steps(monkeypatch)
     assert verify_bijection(2, 2).passed
     assert len(calls) == 1
-    assert [len(c) for c in steps.values()] == [_search_nodes(2, 2)] * 2
+    assert [len(c) for c in steps.values()] == [_memo_steps(2, 2)] * 2
+    assert _memo_steps(2, 2) < _search_nodes(2, 2)
 
 
 def test_verify_involution_small():
@@ -474,35 +503,38 @@ def test_verify_involution_small():
 
 
 def test_verify_involution_factors_each_pi_once(monkeypatch):
-    # The search steps each suffix once: 12 right blocks, then 2 orders of
-    # the last two letters under each, 36 forward steps where stepping each
-    # of the 4! words block by block would take 48.  No whole word is factored.
+    # The search steps each state once: 12 right blocks, then the 2 orders
+    # of the letters left in each of 8 states, 28 forward steps where a tree
+    # stepping each suffix once takes 36 and stepping each of the 4! words
+    # block by block 48.  No whole word is factored.
     calls = _count_calls(monkeypatch, "_factor_word")
     steps = _count_steps(monkeypatch)
     assert verify_involution(2, 2).passed
-    assert len(steps["_factor_block"]) == _search_nodes(2, 2) == 36
+    assert len(_memo_states(2, 2)) == 1 + 8
+    assert len(steps["_factor_block"]) == _memo_steps(2, 2) == 28 < _search_nodes(2, 2) == 36
     assert calls == []
 
 
 def test_verify_involution_unfactors_once_per_pi_and_per_fibre(monkeypatch):
-    # One inverse step per search node, as many as forward steps; a passing
-    # run unfactors no whole word and no delta-fibre.
+    # One inverse step per forward step; a passing run unfactors no whole
+    # word and no delta-fibre.
     calls = _count_calls(monkeypatch, "_unfactor_word")
     steps = _count_steps(monkeypatch)
     assert verify_involution(2, 2).passed
-    assert len(steps["_unfactor_block"]) == _search_nodes(2, 2)
+    assert len(steps["_unfactor_block"]) == _memo_steps(2, 2) == 28 < _search_nodes(2, 2)
     assert calls == []
 
 
 def test_verify_bijection_runs_the_kernels_in_the_left_loop_only(monkeypatch):
     # A passing run takes no per-word or per-pair walk: both steps run once
-    # per search node and the whole-word kernels never run.
+    # per block of each search state and the whole-word kernels never run.
     factor_calls = _count_calls(monkeypatch, "_factor_word")
     unfactor_calls = _count_calls(monkeypatch, "_unfactor_word")
     steps = _count_steps(monkeypatch)
     assert verify_bijection(2, 2).passed
     assert factor_calls == unfactor_calls == []
-    assert [len(c) for c in steps.values()] == [_search_nodes(2, 2)] * 2
+    assert [len(c) for c in steps.values()] == [28] * 2
+    assert 28 < _search_nodes(2, 2)
 
 
 def _inverse_context(block, g, start, top, k):
@@ -610,20 +642,33 @@ def test_a_broken_placement_at_one_tau_fails_both_checks(monkeypatch, k, n):
     assert not verify_involution(k, n).properties["involution"]
 
 
+def _statistic_pairs(k, n):
+    # {(k-cycles of pi, fixed points of sigma_pi) : pi in S_kn}, the cycles
+    # counted with no shared code.
+    pairs = set()
+    for word in itertools.permutations(range(1, k * n + 1)):
+        _, x, tau_hat = harness._factor_word(word, k)
+        pairs.add((_naive_cycle_lengths(_naive_unhat(word)).count(k), harness._fixed_points(x, tau_hat)))
+    return pairs
+
+
 @pytest.mark.parametrize("k, n", [(k, m // k) for m in range(8) for k in range(1, m + 1) if m % k == 0])
 def test_search_tallies_match_the_statistics(k, n):
-    # Every word of S_kn is a leaf, once, and its two tallies are its
-    # k-cycles and the fixed points of its sigma.
-    words = []
+    # The root state's tally pairs are exactly the pairs the words of S_kn
+    # make, and a passing kernel makes them all equal.
+    tallies = harness._search(k, n)
+    assert tallies == _statistic_pairs(k, n)
+    assert all(c == f for c, f in tallies)
 
-    def leaf(blocks, cycles, fixed):
-        word = tuple(itertools.chain.from_iterable(blocks))
-        _, x, tau_hat = harness._factor_word(word, k)
-        assert (cycles, fixed) == (len(_hat_cycles(word, k)), harness._fixed_points(x, tau_hat))
-        words.append(word)
 
-    assert harness._search(k, n, leaf)
-    assert sorted(words) == list(itertools.permutations(range(1, k * n + 1)))
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (3, 2)])
+def test_search_tallies_follow_a_moved_residue(monkeypatch, k, n):
+    # With a residue shifted in both steps, some words' sigma gains or loses
+    # a fixed point, and the root's pairs still match the words' own.
+    _shift_residue(monkeypatch, _last_block(k, n))
+    tallies = harness._search(k, n)
+    assert tallies == _statistic_pairs(k, n)
+    assert any(c != f for c, f in tallies)
 
 
 @pytest.mark.parametrize("k, n", [(1, 0), (3, 0), (1, 1)])
@@ -648,7 +693,7 @@ def _naive_verify_bijection(k, n):
         checked += 1
     report.record("statistic_preserved", True)
     report.record("left_inverse", True)
-    sigmas = harness._gsg_words(k, n, None)
+    sigmas = list(harness._gsg_words(k, n, None))
     n_delta = 0
     for delta in harness._cycle_words(frozenset(range(1, k * n + 1)), k):
         n_delta += 1
@@ -671,15 +716,21 @@ def _naive_verify_bijection(k, n):
 
 def _naive_verify_involution(k, n):
     # The involution applied twice to every pair, both kernels each time.
+    # Each pi's factorization and whether it keeps its statistic do not
+    # depend on sigma, so they are worked out once per pi, and sigma's fixed
+    # points once per sigma.
     report = VerificationReport("involution", k, n)
-    words = list(itertools.permutations(range(1, k * n + 1)))
+    words = []
+    for word in itertools.permutations(range(1, k * n + 1)):
+        delta, x_out, tau_out = harness._factor_word(word, k)
+        kept = len(_hat_cycles(word, k)) == harness._fixed_points(x_out, tau_out)
+        words.append((word, delta, x_out, tau_out, kept))
     checked = 0
     for x, tau_hat in harness._gsg_words(k, n, None):
-        for word in words:
-            delta, x_out, tau_out = harness._factor_word(word, k)
+        fixed = harness._fixed_points(x, tau_hat)
+        for word, delta, x_out, tau_out, kept in words:
             out = harness._unfactor_word(delta, x, tau_hat, k)[0]
-            swapped = (len(_hat_cycles(word, k)) == harness._fixed_points(x_out, tau_out)
-                       and len(_hat_cycles(out, k)) == harness._fixed_points(x, tau_hat))
+            swapped = kept and len(_hat_cycles(out, k)) == fixed
             back, *sigma_back = harness._factor_word(out, k)
             twice = (sigma_back == [x, tau_hat]
                      and harness._unfactor_word(back, x_out, tau_out, k)[0] == word)
@@ -768,13 +819,10 @@ def _sizes(max_m):
     return [(k, m // k) for m in range(max_m + 1) for k in range(1, max(m, 1) + 1) if m % k == 0]
 
 
-@pytest.mark.parametrize("kind, max_m", [("bijection", 6), ("involution", 5)])
-def test_verify_matches_the_naive_per_pair_loops(kind, max_m):
+def _assert_same_records(fast, naive, k, n):
     # Every record() call is logged, so the two must judge every failing
     # element or pair alike and in the same order, not just agree on the
-    # first counterexample.
-    fast = verify_bijection if kind == "bijection" else verify_involution
-    naive = _naive_verify_bijection if kind == "bijection" else _naive_verify_involution
+    # first counterexample.  Returns whether the naive check passed.
     real_record = VerificationReport.record
     log = []
 
@@ -782,21 +830,64 @@ def test_verify_matches_the_naive_per_pair_loops(kind, max_m):
         log.append((prop, ok, counterexample))
         real_record(self, prop, ok, counterexample)
 
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VerificationReport, "record", logged)
+        got = fast(k, n)
+        got_log, log[:] = log[:], []
+        want = naive(k, n)
+    assert (got.properties, got.checked, got.counterexample) == (
+        want.properties, want.checked, want.counterexample), (k, n)
+    assert got_log == log, (k, n)
+    return want.passed
+
+
+_CHECKS = {
+    "bijection": (verify_bijection, _naive_verify_bijection),
+    "involution": (verify_involution, _naive_verify_involution),
+}
+
+
+@pytest.mark.parametrize("kind, max_m", [("bijection", 6), ("involution", 5)])
+def test_verify_matches_the_naive_per_pair_loops(kind, max_m):
     outcomes = set()
     for k, n in _sizes(max_m):
         for patch in _kernel_patches(k, n):
             with pytest.MonkeyPatch.context() as mp:
                 patch(mp)
-                mp.setattr(VerificationReport, "record", logged)
-                got = fast(k, n)
-                got_log, log[:] = log[:], []
-                want = naive(k, n)
-                want_log, log[:] = log[:], []
-            assert (got.properties, got.checked, got.counterexample) == (
-                want.properties, want.checked, want.counterexample), (k, n)
-            assert got_log == want_log, (k, n)
-            outcomes.add(want.passed)
+                outcomes.add(_assert_same_records(*_CHECKS[kind], k, n))
     assert outcomes == {True, False}
+
+
+def _suffixes_at(k, n, target):
+    # The distinct suffixes right of the blocks that the words of S_kn
+    # unfactor at the inverse step's context ``target``.
+    m, suffixes = k * n, set()
+    for word in itertools.permutations(range(1, m + 1)):
+        records = _naive_records(word)
+        for i in range(n):
+            start, end = k * i, k * (i + 1)
+            g = next((r for r in records if r > end), m + 1)
+            if _inverse_context(word[start:end], g, start, max(word[:start], default=0), k) == target:
+                suffixes.add(word[end:])
+    return suffixes
+
+
+@pytest.mark.parametrize("kind", list(_CHECKS))
+@pytest.mark.parametrize("k, n, context", [
+    (2, 3, ((3, 4), 5, 2, 2, 2)),  # the middle block of 1 2 3 4 5 6 and of 1 2 3 4 6 5
+    (1, 5, ((2,), 3, 1, 1, 1)),  # the second letter of 1 2 and any order of 3 4 5
+])
+def test_a_break_inside_a_merged_state_fails_both_checks(monkeypatch, kind, k, n, context):
+    # The search steps ``target`` fewer times than there are suffixes that
+    # reach it, so some of them reach it only through a state merged with
+    # another.  Broken there, the inverse step must still fail each check,
+    # with the naive loop's records.
+    target = _inverse_context(*context)
+    steps = _count_steps(monkeypatch)
+    assert harness._search(k, n)
+    assert 0 < steps["_unfactor_block"].count(target) < len(_suffixes_at(k, n, target))
+    _break_inverse_kernel(monkeypatch, target)
+    assert not _assert_same_records(*_CHECKS[kind], k, n)
 
 
 def _shift_residue(monkeypatch, target):
@@ -893,7 +984,7 @@ _PASS_PATCHES = {
 @pytest.mark.parametrize("patch", list(_PASS_PATCHES))
 def test_the_pass_refuses_each_break_the_naive_check_finds(monkeypatch, patch, k, n):
     # Each break keeps the steps undoing each other, so only one of the
-    # pass's other checks sees it: the leaf tallies, the first record, the
+    # pass's other checks sees it: the tally pairs, the first record, the
     # residue's range, the delta's, the cutting or the largest letters.
     _PASS_PATCHES[patch](monkeypatch, k, n)
     assert not harness._suffix_pass(k, n, None)[0]
